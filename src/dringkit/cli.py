@@ -31,19 +31,19 @@ from .lab import (
 from .norms import conjugate_poly, norm_poly, norm_transfer_check
 from .parsing import parse_poly, parse_ring
 from .polynomials import Poly, primitive_part, pseudo_divide
-from .rings import QuadInt, QuadRing
+from .rings import QuadInt, QuadRing, _decimal
 
 SEED_ENV_VAR = "DRINGKIT_SEED"
 
 
 def _num(value: int) -> str:
-    return str(value)
+    return _decimal(value)
 
 
 def _elt(value) -> str:
     if isinstance(value, QuadInt):
         return f"[{value}]"
-    return str(value)
+    return _decimal(value)
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -350,7 +350,7 @@ def _cmd_transfer(args) -> int:
     for s in report.samples:
         lines.append(
             f"b = {s.point}: g(b) = {_elt(s.divisor_value)}, f(b) = {_elt(s.dividend_value)}, "
-            f"G(b) = {s.divisor_norm}, F(b) = {s.dividend_norm}, "
+            f"G(b) = {_num(s.divisor_norm)}, F(b) = {_num(s.dividend_norm)}, "
             f"element divides: {s.element_divides}, norm divides: {s.norm_divides} -> {s.status}"
         )
     lines.append(f"verdict: {report.verdict}")

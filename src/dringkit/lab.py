@@ -307,16 +307,25 @@ def cheb_generate(n_max: int) -> list[ChebPair]:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    two_x = Poly((0, 2), ZZ)
     ps = [Poly.one(ZZ), Poly.x(ZZ)]
     qs = [Poly.zero(ZZ), Poly.one(ZZ)]
     while len(ps) <= n_max:
-        ps.append(two_x * ps[-1] - ps[-2])
-        qs.append(two_x * qs[-1] - qs[-2])
+        ps.append(_two_x_times_minus(ps[-1], ps[-2]))
+        qs.append(_two_x_times_minus(qs[-1], qs[-2]))
     pairs = [ChebPair(n, ps[n], qs[n]) for n in range(n_max + 1)]
     for pair in pairs[1:]:
         assert is_primitive(pair.p), f"p_{pair.n} lost primitivity"
     return pairs
+
+
+def _two_x_times_minus(a: Poly, b: Poly) -> Poly:
+    """2x*a - b over Z in one pass over the coefficients."""
+    out = [0]
+    out.extend(2 * c for c in a.coeffs)
+    out.extend([0] * (len(b.coeffs) - len(out)))
+    for i, c in enumerate(b.coeffs):
+        out[i] -= c
+    return Poly._trusted(out, ZZ)
 
 
 @dataclass(frozen=True)

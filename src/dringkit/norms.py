@@ -24,7 +24,7 @@ def conjugate_poly(p: Poly) -> Poly:
     """Apply the ring conjugation to every coefficient; fixes Z-polynomials."""
     if p.ring == ZZ:
         return p
-    return Poly([c.conjugate() for c in p.coeffs], p.ring)
+    return Poly._trusted([c.conjugate() for c in p.coeffs], p.ring)
 
 
 def norm_poly(p: Poly) -> Poly:
@@ -42,7 +42,7 @@ def norm_poly(p: Poly) -> Poly:
         if c.b != 0:
             raise NormIntegralityError(f"coefficient of x^{i} kept w-part {c.b}")
         values.append(c.a)
-    return Poly(values, ZZ)
+    return Poly._trusted(values, ZZ)
 
 
 @dataclass(frozen=True)

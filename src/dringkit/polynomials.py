@@ -3,6 +3,14 @@
 Coefficients are stored in ascending powers and the leading coefficient is
 always nonzero; the zero polynomial has an empty coefficient tuple and degree
 None. All arithmetic is exact and stays inside the coefficient ring.
+
+Coefficients are validated once, where they enter: `Poly(...)` and the
+`zero`, `one`, `x`, `constant` and `monomial` constructors coerce every
+coefficient into the ring (as `parse_poly` does through them), and a scalar
+multiplier is coerced once per product. Arithmetic trusts its own outputs:
+sums, products, quotients and the other results built here from coefficients
+already in the ring go through `Poly._trusted`, which only strips trailing
+zeros.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import RingMismatchError, ZeroPolynomialError
-from .rings import NORM_EUCLIDEAN_D, ZZ, IntegerRing, QuadInt, QuadRing, quad_gcd
+from .rings import NORM_EUCLIDEAN_D, ZZ, IntegerRing, QuadInt, QuadRing, _decimal, quad_gcd
 
 CoefficientRing = Union[IntegerRing, QuadRing]
 Element = Union[int, QuadInt]
@@ -30,6 +38,20 @@ class Poly:
         while normalized and not normalized[-1]:
             normalized.pop()
         object.__setattr__(self, "coeffs", tuple(normalized))
+
+    @classmethod
+    def _trusted(cls, coeffs: list, ring: CoefficientRing) -> "Poly":
+        """A polynomial over `ring` from a list of coefficients already in it.
+
+        Skips the coercion of `__post_init__`; only trailing zeros are stripped,
+        in place, so the caller hands over the list.
+        """
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(coeffs))
+        object.__setattr__(p, "ring", ring)
+        return p
 
     @classmethod
     def zero(cls, ring: CoefficientRing = ZZ) -> "Poly":
@@ -79,30 +101,36 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(out, self.ring)
+        return Poly._trusted(out, self.ring)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        self._check_ring(other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a)
+        out.extend([self.ring.zero] * (len(b) - len(a)))
+        for i, c in enumerate(b):
+            out[i] = out[i] - c
+        return Poly._trusted(out, self.ring)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.ring)
+        return Poly._trusted([-c for c in self.coeffs], self.ring)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_ring(other)
             if not self.coeffs or not other.coeffs:
-                return Poly((), self.ring)
+                return Poly._trusted([], self.ring)
             out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, c in enumerate(self.coeffs):
                 if not c:
                     continue
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + c * d
-            return Poly(out, self.ring)
+                for j, d in enumerate(other.coeffs, i):
+                    out[j] = out[j] + c * d
+            return Poly._trusted(out, self.ring)
         scalar = self.ring.coerce(other)
-        return Poly([c * scalar for c in self.coeffs], self.ring)
+        return Poly._trusted([c * scalar for c in self.coeffs], self.ring)
 
     __rmul__ = __mul__
 
@@ -146,13 +174,12 @@ def _term_text(c: Element, power: int) -> tuple[int, str]:
     if isinstance(c, QuadInt):
         sign = 1 if (c.a > 0 or (c.a == 0 and c.b > 0)) else -1
         m = c if sign > 0 else -c
-        inside = str(m.a) if m.b == 0 else f"{m.a}{m.b:+d}w"
-        return sign, f"[{inside}]{var}"
+        return sign, f"[{m}]{var}"
     sign = 1 if c > 0 else -1
     m = abs(c)
     if not var:
-        return sign, str(m)
-    return sign, var if m == 1 else f"{m}{var}"
+        return sign, _decimal(m)
+    return sign, var if m == 1 else _decimal(m) + var
 
 
 @dataclass(frozen=True)
@@ -192,20 +219,25 @@ def primitive_part(p: Poly) -> tuple[Element, Poly]:
     """Split p as content * primitive polynomial of the same degree."""
     c = content(p)
     if p.ring == ZZ:
-        return c, Poly([value // c for value in p.coeffs], ZZ)
+        return c, Poly._trusted([value // c for value in p.coeffs], ZZ)
     parts = []
     for value in p.coeffs:
         q = c.divides(value)
         assert q is not None, "content must divide every coefficient"
         parts.append(q)
-    return c, Poly(parts, p.ring)
+    return c, Poly._trusted(parts, p.ring)
 
 
 def pseudo_divide(f: Poly, g: Poly) -> PseudoDivResult:
     """Fraction-free division of f by g, entirely inside the coefficient ring.
 
-    Scales f by lc(g)**s with s = max(deg f - deg g + 1, 0) and performs the
-    usual division; the identity lc(g)**s * f == g*q + r is re-checked before
+    Knuth's Algorithm R (TAOCP vol. 2, section 4.6.1) on one list u of f's
+    coefficients: with n = deg g and s = max(deg f - n + 1, 0), the step for
+    k = s-1, ..., 0 sets q_k = u_{n+k} * lc(g)**k and then
+    u_j = lc(g)*u_j - u_{n+k}*g_{j-k} for j = k, ..., n+k-1. Algorithm R also
+    multiplies every u_j with j < k by lc(g) at that step; here the factor is
+    deferred and u_k takes all s-1-k of them as one power when it joins the
+    window. The identity lc(g)**s * f == g*q + r is re-checked before
     returning.
     """
     f._check_ring(g)
@@ -216,29 +248,32 @@ def pseudo_divide(f: Poly, g: Poly) -> PseudoDivResult:
     if not f or f.degree() < n:
         return PseudoDivResult(ring.one, Poly.zero(ring), f, 0)
     s = f.degree() - n + 1
-    lead = g.leading_coefficient()
-    q = Poly.zero(ring)
-    r = f
-    steps = 0
-    while r and r.degree() >= n:
-        t = Poly.monomial(r.leading_coefficient(), r.degree() - n, ring)
-        q = q * lead + t
-        r = r * lead - t * g
-        steps += 1
-    if steps != s:
-        pad = lead ** (s - steps)
-        q = q * pad
-        r = r * pad
-    multiplier = lead**s
-    assert f * multiplier == g * q + r, "pseudo-division identity failed"
-    return PseudoDivResult(multiplier, q, r, s)
+    lead = g.coeffs[n]
+    low = g.coeffs[:n]
+    powers = [ring.one]
+    for _ in range(s):
+        powers.append(powers[-1] * lead)
+    u = list(f.coeffs)
+    q = [ring.zero] * s
+    for k in range(s - 1, -1, -1):
+        u[k] = u[k] * powers[s - 1 - k]
+        c = u[n + k]
+        q[k] = c * powers[k]
+        for j, d in enumerate(low, k):
+            u[j] = lead * u[j] - c * d
+    quotient = Poly._trusted(q, ring)
+    remainder = Poly._trusted(u[:n], ring)
+    multiplier = powers[s]
+    assert f * multiplier == g * quotient + remainder, "pseudo-division identity failed"
+    return PseudoDivResult(multiplier, quotient, remainder, s)
 
 
 def exact_divide(f: Poly, g: Poly) -> Poly | None:
     """The quotient q with f == g * q when g divides f in R[x], else None.
 
-    Implemented by leading-coefficient elimination with an exactness check at
-    every step, independently of pseudo_divide so the two can cross-validate.
+    Leading-coefficient elimination on one list of f's coefficients, with an
+    exactness check at every step, independently of pseudo_divide so the two
+    can cross-validate.
     """
     f._check_ring(g)
     if not g:
@@ -249,17 +284,23 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
     n = g.degree()
     if f.degree() < n:
         return None
-    lead = g.leading_coefficient()
-    q = Poly.zero(ring)
-    r = f
-    while r and r.degree() >= n:
-        c = _exact_coeff_quotient(r.leading_coefficient(), lead, ring)
+    lead = g.coeffs[n]
+    terms = [(i, d) for i, d in enumerate(g.coeffs[:n]) if d]
+    r = list(f.coeffs)
+    q = [ring.zero] * (len(r) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[n + k]
+        if not c:
+            continue
+        c = _exact_coeff_quotient(c, lead, ring)
         if c is None:
             return None
-        t = Poly.monomial(c, r.degree() - n, ring)
-        q = q + t
-        r = r - t * g
-    return q if not r else None
+        q[k] = c
+        for i, d in terms:
+            r[k + i] = r[k + i] - c * d
+    if any(r[:n]):
+        return None
+    return Poly._trusted(q, ring)
 
 
 def _exact_coeff_quotient(value: Element, lead: Element, ring: CoefficientRing):
@@ -288,7 +329,7 @@ def field_divide(f: Poly, g: Poly) -> tuple[Element, Poly] | None:
         if den < 0:
             den, q = -den, -q
         t = math.gcd(den, content(q))
-        return den // t, Poly([c // t for c in q.coeffs], ZZ)
+        return den // t, Poly._trusted([c // t for c in q.coeffs], ZZ)
     if ring.d in NORM_EUCLIDEAN_D:
         t = quad_gcd(ring.coerce(den), content(q))
         reduced_den = t.divides(den)
@@ -298,5 +339,5 @@ def field_divide(f: Poly, g: Poly) -> tuple[Element, Poly] | None:
             piece = t.divides(c)
             assert piece is not None
             parts.append(piece)
-        return reduced_den, Poly(parts, ring)
+        return reduced_den, Poly._trusted(parts, ring)
     return den, q

@@ -28,6 +28,23 @@ _MAX_ABS_D = 10**6
 _MAX_W_DENOMINATOR = 10**12
 
 
+def _decimal(n: int) -> str:
+    """str(n), also for integers past the interpreter's int-to-str digit limit.
+
+    The limit is left alone (sys.set_int_max_str_digits is process-wide);
+    longer values are split at a power of ten and each half converted.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def is_squarefree(n: int) -> bool:
     """True when no prime square divides n (n must be nonzero)."""
     n = abs(n)
@@ -270,8 +287,9 @@ class QuadInt:
 
     def __str__(self) -> str:
         if self.b == 0:
-            return str(self.a)
-        return f"{self.a}{self.b:+d}w"
+            return _decimal(self.a)
+        sign = "-" if self.b < 0 else "+"
+        return f"{_decimal(self.a)}{sign}{_decimal(abs(self.b))}w"
 
     def __repr__(self) -> str:
         return f"QuadInt({self.a}, {self.b}, d={self.ring.d})"
@@ -417,4 +435,4 @@ class WRational:
         return all(is_w_prime(p) for p in factorize(abs(self.num)))
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        return f"{_decimal(self.num)}/{_decimal(self.den)}"

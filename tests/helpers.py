@@ -8,6 +8,7 @@ every run sees the same instances.
 import random
 
 from dringkit import Poly, QuadRing, ZZ, primitive_part
+from dringkit.polynomials import PseudoDivResult
 
 
 def rand_coeff(rng: random.Random, ring, bound: int = 50):
@@ -51,3 +52,58 @@ def brute_is_prime(n: int) -> bool:
 
 
 TEST_QUAD_DS = (-1, -3, 5)
+
+
+# --- reference division loops ---------------------------------------------
+#
+# Division written with whole-Poly arithmetic, one monomial step at a time,
+# independently of the in-place list kernel in dringkit.polynomials. The
+# kernel must reproduce their answers exactly.
+
+
+def oracle_pseudo_divide(f: Poly, g: Poly) -> PseudoDivResult:
+    ring = f.ring
+    n = g.degree()
+    if not f or f.degree() < n:
+        return PseudoDivResult(ring.one, Poly.zero(ring), f, 0)
+    s = f.degree() - n + 1
+    lead = g.leading_coefficient()
+    q = Poly.zero(ring)
+    r = f
+    steps = 0
+    while r and r.degree() >= n:
+        t = Poly.monomial(r.leading_coefficient(), r.degree() - n, ring)
+        q = q * lead + t
+        r = r * lead - t * g
+        steps += 1
+    if steps != s:
+        pad = lead ** (s - steps)
+        q = q * pad
+        r = r * pad
+    return PseudoDivResult(lead**s, q, r, s)
+
+
+def oracle_exact_divide(f: Poly, g: Poly) -> Poly | None:
+    ring = f.ring
+    if not f:
+        return Poly.zero(ring)
+    n = g.degree()
+    if f.degree() < n:
+        return None
+    lead = g.leading_coefficient()
+    q = Poly.zero(ring)
+    r = f
+    while r and r.degree() >= n:
+        if ring == ZZ:
+            c, rem = divmod(r.leading_coefficient(), lead)
+            if rem:
+                return None
+        else:
+            c = lead.divides(r.leading_coefficient())
+            if c is None:
+                return None
+        t = Poly.monomial(c, r.degree() - n, ring)
+        q = q + t
+        r = r - t * g
+    return q if not r else None
+

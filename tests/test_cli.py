@@ -290,3 +290,14 @@ def test_text_and_json_agree_on_the_verdict(capsys):
     _, payload = run_json(capsys, "divides", "x^2-1", "x-1")
     assert payload["verdict"] in out
     assert payload["quotient"] in out
+
+
+def test_integers_past_the_str_digit_limit_are_printed_in_full(capsys):
+    divisor = "1" + "0" * 100 + "x+1"
+    code, payload = run_json(capsys, "pseudodiv", "x^50", divisor)
+    assert code == 0
+    assert payload["multiplier"] == "1" + "0" * 5000
+    assert payload["remainder"] == "1"
+    code, out, err = run(capsys, "pseudodiv", "x^50", divisor)
+    assert code == 0 and err == ""
+    assert "multiplier: 1" + "0" * 5000 + " " in out

@@ -1,0 +1,203 @@
+"""The list division kernel and the trusted constructor behind Poly arithmetic.
+
+Division answers are checked bit for bit against independent oracles: sympy
+over Z, and over Z[w] the allocating Poly loops kept in helpers. The boundary
+tests pin down that validation still happens where coefficients enter, and
+that every arithmetic result comes out normalised.
+"""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dringkit import (
+    Poly,
+    QuadRing,
+    RingMismatchError,
+    ZZ,
+    exact_divide,
+    pseudo_divide,
+)
+from helpers import oracle_exact_divide, oracle_pseudo_divide, rand_poly
+
+ORACLE_QUAD_DS = (-1, -3, 5, 2)
+
+int_coeffs = st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=10)
+small_int_coeffs = st.lists(st.integers(min_value=-30, max_value=30), max_size=8)
+
+
+def quad_coeffs(max_size):
+    pair = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+    return st.lists(pair, max_size=max_size)
+
+
+def quad_poly(pairs, ring):
+    return Poly([ring.element(a, b) for a, b in pairs], ring)
+
+
+def same_poly(p, q):
+    """Equal coefficient by coefficient, each of the same type and coordinates."""
+    if len(p.coeffs) != len(q.coeffs) or p.ring != q.ring:
+        return False
+    for c, d in zip(p.coeffs, q.coeffs):
+        if type(c) is not type(d) or c != d:
+            return False
+        if p.ring != ZZ and (c.a, c.b) != (d.a, d.b):
+            return False
+    return True
+
+
+def same_pseudo(result, oracle):
+    return (
+        result.multiplier == oracle.multiplier
+        and result.s == oracle.s
+        and same_poly(result.quotient, oracle.quotient)
+        and same_poly(result.remainder, oracle.remainder)
+    )
+
+
+# --- over Z, against sympy ---------------------------------------------------
+
+
+def to_sympy(p, sympy, x):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], x, domain="ZZ")
+
+
+def from_sympy(P):
+    return Poly([int(c) for c in reversed(P.all_coeffs())])
+
+
+@settings(max_examples=200, deadline=None)
+@given(fc=int_coeffs, gc=int_coeffs)
+def test_pseudo_divide_matches_sympy_over_z(fc, gc):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f, g = Poly(fc), Poly(gc)
+    assume(g)
+    result = pseudo_divide(f, g)
+    F, G = to_sympy(f, sympy, x), to_sympy(g, sympy, x)
+    assert same_poly(result.quotient, from_sympy(F.pquo(G)))
+    assert same_poly(result.remainder, from_sympy(F.prem(G)))
+    assert result.multiplier == g.leading_coefficient() ** result.s
+
+
+@settings(max_examples=200, deadline=None)
+@given(gc=small_int_coeffs, qc=small_int_coeffs, rc=small_int_coeffs, exact=st.booleans())
+def test_exact_divide_matches_sympy_over_z(gc, qc, rc, exact):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    g = Poly(gc)
+    assume(g)
+    f = g * Poly(qc) if exact else g * Poly(qc) + Poly(rc)
+    quotient, remainder = sympy.div(to_sympy(f, sympy, x), to_sympy(g, sympy, x), domain="QQ")
+    field_q = list(reversed(quotient.all_coeffs()))
+    divides = remainder.is_zero and all(c.is_integer for c in field_q)
+    result = exact_divide(f, g)
+    assert (result is not None) == divides
+    if divides:
+        assert same_poly(result, Poly([int(c) for c in field_q]))
+
+
+# --- over Z[w], against the allocating loops ----------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from(ORACLE_QUAD_DS), fc=quad_coeffs(9), gc=quad_coeffs(5))
+def test_pseudo_divide_matches_the_reference_loop_over_zw(d, fc, gc):
+    ring = QuadRing(d)
+    f, g = quad_poly(fc, ring), quad_poly(gc, ring)
+    assume(g)
+    assert same_pseudo(pseudo_divide(f, g), oracle_pseudo_divide(f, g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from(ORACLE_QUAD_DS),
+    gc=quad_coeffs(5),
+    qc=quad_coeffs(6),
+    rc=quad_coeffs(6),
+    exact=st.booleans(),
+)
+def test_exact_divide_matches_the_reference_loop_over_zw(d, gc, qc, rc, exact):
+    ring = QuadRing(d)
+    g = quad_poly(gc, ring)
+    assume(g)
+    f = g * quad_poly(qc, ring)
+    if not exact:
+        f = f + quad_poly(rc, ring)
+    result, oracle = exact_divide(f, g), oracle_exact_divide(f, g)
+    assert (result is None) == (oracle is None)
+    if result is not None:
+        assert same_poly(result, oracle)
+        if exact:
+            assert result == quad_poly(qc, ring)
+
+
+def test_kernels_match_the_reference_loops_on_long_inputs():
+    rng = random.Random(2024)
+    for ring in (ZZ,) + tuple(QuadRing(d) for d in ORACLE_QUAD_DS):
+        for _ in range(5):
+            f = rand_poly(rng, ring, min_deg=20, max_deg=40, bound=1000)
+            g = rand_poly(rng, ring, min_deg=1, max_deg=10, bound=1000)
+            assert same_pseudo(pseudo_divide(f, g), oracle_pseudo_divide(f, g))
+            assert same_poly(exact_divide(f * g, g), oracle_exact_divide(f * g, g))
+            assert exact_divide(f * g + Poly.one(ring), g) is None
+
+
+# --- validation at the boundary ------------------------------------------------
+
+
+GAUSS = QuadRing(-1)
+
+
+def test_constructor_rejects_a_float_coefficient():
+    with pytest.raises(TypeError):
+        Poly((1.5,))
+
+
+def test_constructor_rejects_a_quadratic_coefficient_over_z():
+    with pytest.raises(RingMismatchError):
+        Poly((1, GAUSS.element(0, 1)), ZZ)
+
+
+def test_scalar_product_rejects_a_float():
+    with pytest.raises(TypeError):
+        Poly((1, 2)) * 1.5
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q, pseudo_divide, exact_divide],
+)
+def test_mixing_rings_raises(combine):
+    with pytest.raises(RingMismatchError):
+        combine(Poly((1, 1), ZZ), Poly((1, 1), GAUSS))
+
+
+# --- normalised results ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", [ZZ, GAUSS, QuadRing(5)])
+def test_difference_with_itself_is_the_zero_polynomial(ring):
+    p = rand_poly(random.Random(7), ring)
+    zero = p - p
+    assert zero.coeffs == ()
+    assert zero.degree() is None
+    assert zero == Poly.zero(ring)
+    assert hash(zero) == hash(Poly.zero(ring))
+    assert (p + (-p)).coeffs == ()
+
+
+@pytest.mark.parametrize("ring", [ZZ, GAUSS, QuadRing(-3), QuadRing(2)])
+def test_products_equal_their_validated_rebuild(ring):
+    rng = random.Random(11)
+    for _ in range(50):
+        p = rand_poly(rng, ring, min_deg=0, max_deg=6)
+        q = rand_poly(rng, ring, min_deg=0, max_deg=6)
+        for result in (p * q, p + q, p - q, p * 3):
+            rebuilt = Poly(list(result.coeffs), ring)
+            assert result == rebuilt
+            assert hash(result) == hash(rebuilt)
+            assert not result.coeffs or result.coeffs[-1]
