@@ -5,7 +5,8 @@ human-readable text, or a single JSON document with --json; both carry the
 same information. In JSON, every integer is a decimal string so that
 arbitrary-precision values never pass through floating point, and keys are
 emitted sorted. Exit codes: 0 affirmative/success, 1 negative verdict,
-2 usage or computation error.
+2 usage or computation error, including running out of memory or recursion
+depth.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 from typing import Sequence
 
-from .errors import DRingKitError, UnsupportedRingError
+from .errors import ArgumentCapError, DRingKitError, UnsupportedRingError
 from .lab import (
     DEFAULT_DEMO_SEED,
     DEFAULT_WINDOW,
@@ -34,6 +35,7 @@ from .polynomials import Poly, primitive_part, pseudo_divide
 from .rings import QuadInt, QuadRing, _decimal
 
 SEED_ENV_VAR = "DRINGKIT_SEED"
+SF_LIMIT_CAP = 10**6
 
 
 def _num(value: int) -> str:
@@ -222,6 +224,8 @@ def _cmd_evalcheck(args) -> int:
 
 
 def _cmd_sf(args) -> int:
+    if args.limit > SF_LIMIT_CAP:
+        raise ArgumentCapError(f"--limit must not exceed {SF_LIMIT_CAP}")
     f = parse_poly(args.f)
     records = sf_search(f, args.limit)
     payload = {
@@ -419,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sf", parents=[common],
                        help="primes p <= limit at which f has a root mod p")
     p.add_argument("f")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=int, required=True,
+                   help=f"search primes up to L (at most {SF_LIMIT_CAP})")
     p.set_defaults(func=_cmd_sf)
 
     p = sub.add_parser("cheb", parents=[common],
@@ -454,6 +459,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (DRingKitError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: out of resources ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

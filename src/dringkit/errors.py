@@ -49,6 +49,10 @@ class SearchCapExceededError(DRingKitError):
     """An upward scan hit its safety cap without an answer."""
 
 
+class ArgumentCapError(DRingKitError):
+    """A command-line argument exceeds its documented cap."""
+
+
 class NormIntegralityError(DRingKitError):
     """A norm polynomial coefficient kept a nonzero w-part; arithmetic bug."""
 

@@ -203,8 +203,14 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
     """All primes p <= prime_limit at which f has a root mod p, with the least
     root each, in ascending prime order.
 
-    Residues are scanned exhaustively per prime, which is fine at desk scale;
-    every hit is re-verified in full precision before being recorded.
+    Each prime is handled in F_p[x]: f mod p is made monic, x^p mod f is found
+    by square-and-multiply, and h = gcd(f, x^p - x) is the product of the
+    distinct linear factors of f. If deg h >= 1, h is split by equal-degree
+    factorisation with gcd(h, (x + a)^((p-1)/2) - 1) for the fixed shifts
+    a = 1, 2, 3, ... (mod p), so no randomness is involved, and the least of
+    its roots is reported. The cost is about pi(L) * deg^2 * log L operations
+    mod p for L = prime_limit. Every root is re-verified in full precision
+    before being recorded.
     """
     if f.ring != ZZ:
         raise UnsupportedRingError("the prime search runs over integer polynomials")
@@ -214,16 +220,128 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
         raise ValueError("prime_limit must be at least 2")
     records = []
     for p in primes_up_to(prime_limit):
-        reduced = [c % p for c in f.coeffs]
-        for k in range(p):
-            acc = 0
-            for c in reversed(reduced):
-                acc = (acc * k + c) % p
-            if acc == 0:
-                assert f.evaluate(k) % p == 0, "modular root failed the exact recheck"
-                records.append(PrimeSolvabilityRecord(p, k))
-                break
+        k = _least_root_mod(f.coeffs, p)
+        if k is not None:
+            assert f.evaluate(k) % p == 0, "modular root failed the exact recheck"
+            records.append(PrimeSolvabilityRecord(p, k))
     return records
+
+
+# --- F_p[x] on ascending int lists, for sf_search ---------------------------
+#
+# Coefficients of a result lie in [0, p) and trailing zeros are stripped, so
+# [] is the zero polynomial. Divisors are monic.
+
+
+def _least_root_mod(coeffs: Sequence[int], p: int) -> int | None:
+    """Least root in [0, p) of the integer polynomial with these ascending
+    coefficients modulo the prime p, or None."""
+    f = _fp_strip([c % p for c in coeffs])
+    if not f or not f[0]:
+        return 0
+    if len(f) == 1:
+        return None
+    f = _fp_monic(f, p)
+    if len(f) > 2:
+        f = _fp_gcd(f, _fp_sub_x_power(_fp_pow_linear(0, p, f, p), 1, p), p)
+        if len(f) == 1:
+            return None
+    # f now splits into distinct linear factors, none of them x. Then f has
+    # at most p - 1 roots, so for p = 2 the loop below never splits.
+    roots = []
+    pending = [f]
+    shift = 1
+    while pending:
+        h = pending.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+            continue
+        while True:
+            t = _fp_pow_linear(shift % p, (p - 1) // 2, h, p)
+            shift += 1
+            g = _fp_gcd(h, _fp_sub_x_power(t, 0, p), p)
+            if 1 < len(g) < len(h):
+                pending += [g, _fp_exact_quo(h, g, p)]
+                break
+    return min(roots)
+
+
+def _fp_strip(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_monic(a: list[int], p: int) -> list[int]:
+    inverse = pow(a[-1], -1, p)
+    return [c * inverse % p for c in a]
+
+
+def _fp_sub_x_power(a: list[int], k: int, p: int) -> list[int]:
+    """a - x^k."""
+    a = a + [0] * (k + 1 - len(a))
+    a[k] = (a[k] - 1) % p
+    return _fp_strip(a)
+
+
+def _fp_rem(a: list[int], m: list[int], p: int) -> list[int]:
+    """Remainder of a (coefficients any integers) by the monic m. The list a
+    is overwritten."""
+    n = len(m) - 1
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % p
+        if c:
+            k = i - n
+            for j in range(n):
+                a[k + j] -= c * m[j]
+    return _fp_strip([c % p for c in a[:n]])
+
+
+def _fp_exact_quo(a: list[int], m: list[int], p: int) -> list[int]:
+    """Quotient of a by the monic m, which divides it."""
+    n = len(m) - 1
+    a = list(a)
+    q = [0] * (len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = q[i - n] = a[i] % p
+        for j in range(n):
+            a[i - n + j] -= c * m[j]
+    return q
+
+
+def _fp_sqrmod(a: list[int], m: list[int], p: int) -> list[int]:
+    """a^2 mod m, each cross term computed once."""
+    product = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            product[2 * i] += x * x
+            x2 = 2 * x
+            for j in range(i + 1, len(a)):
+                product[i + j] += x2 * a[j]
+    return _fp_rem(product, m, p)
+
+
+def _fp_pow_linear(a: int, e: int, m: list[int], p: int) -> list[int]:
+    """(x + a)^e mod m by square-and-multiply. Each multiplication by x + a
+    is a shift plus one reduction step, not a full product."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _fp_sqrmod(r, m, p)
+        if bit == "1":
+            shifted = [0] + r
+            for i, c in enumerate(r):
+                shifted[i] += a * c
+            r = _fp_rem(shifted, m, p)
+    return r
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of the monic a and any b."""
+    a = list(a)
+    while b:
+        b = _fp_monic(b, p)
+        a, b = b, _fp_rem(a, b, p)
+    return a
 
 
 def sf_difference_growth(

@@ -7,7 +7,14 @@ every run sees the same instances.
 
 import random
 
-from dringkit import Poly, QuadRing, ZZ, primitive_part
+from dringkit import (
+    Poly,
+    PrimeSolvabilityRecord,
+    QuadRing,
+    ZZ,
+    primes_up_to,
+    primitive_part,
+)
 from dringkit.polynomials import PseudoDivResult
 
 
@@ -107,3 +114,23 @@ def oracle_exact_divide(f: Poly, g: Poly) -> Poly | None:
         r = r - t * g
     return q if not r else None
 
+
+# --- reference prime search ---------------------------------------------------
+#
+# The exhaustive residue scan that sf_search replaced: Horner evaluation of
+# every residue of every prime, O(sum of p * deg). The F_p[x] root finder must
+# reproduce its records exactly.
+
+
+def sf_search_scan(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
+    records = []
+    for p in primes_up_to(prime_limit):
+        reduced = [c % p for c in f.coeffs]
+        for k in range(p):
+            acc = 0
+            for c in reversed(reduced):
+                acc = (acc * k + c) % p
+            if acc == 0:
+                records.append(PrimeSolvabilityRecord(p, k))
+                break
+    return records

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from dringkit.cli import main
+from dringkit import cli
+from dringkit.cli import SF_LIMIT_CAP, main
 
 
 def run(capsys, *argv):
@@ -186,6 +187,26 @@ def test_sf_empty_result_is_a_negative_verdict(capsys):
     code, payload = run_json(capsys, "sf", "x^2+x+1", "--limit", "2")
     assert code == 1
     assert payload["records"] == []
+
+
+def test_sf_limit_above_the_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "sf", "x^2+1", "--limit", str(SF_LIMIT_CAP + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(SF_LIMIT_CAP) in err
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_resource_failures_exit_two_without_a_traceback(capsys, monkeypatch, exc):
+    def exhausted(*args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "sf_search", exhausted)
+    code, out, err = run(capsys, "sf", "x^2+1", "--limit", "30")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # --- cheb ------------------------------------------------------------------------
