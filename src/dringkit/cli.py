@@ -36,6 +36,8 @@ from .rings import QuadInt, QuadRing, _decimal
 
 SEED_ENV_VAR = "DRINGKIT_SEED"
 SF_LIMIT_CAP = 10**6
+CHEB_N_CAP = 1000
+ZWDEMO_TRIALS_CAP = 500_000
 
 
 def _num(value: int) -> str:
@@ -245,6 +247,8 @@ def _cmd_sf(args) -> int:
 
 
 def _cmd_cheb(args) -> int:
+    if args.n > CHEB_N_CAP:
+        raise ArgumentCapError(f"--n must not exceed {CHEB_N_CAP}")
     if args.certify:
         if args.n < 1:
             raise ValueError("--certify needs --n at least 1")
@@ -287,6 +291,8 @@ def _cmd_cheb(args) -> int:
 
 
 def _cmd_zwdemo(args) -> int:
+    if args.trials > ZWDEMO_TRIALS_CAP:
+        raise ArgumentCapError(f"--trials must not exceed {ZWDEMO_TRIALS_CAP}")
     if args.seed is not None:
         seed = args.seed
     elif SEED_ENV_VAR in os.environ:
@@ -429,14 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cheb", parents=[common],
                        help="recurrence pair p_n, q_n; --certify checks p_n | q_2n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"index of the pair (at most {CHEB_N_CAP})")
     p.add_argument("--certify", action="store_true")
     _add_window(p)
     p.set_defaults(func=_cmd_cheb)
 
     p = sub.add_parser("zwdemo", parents=[common],
                        help="unit values of x^2 + 1 over Z[W], seeded trials")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=10_000,
+                   help=f"number of seeded trials (default %(default)s, at most {ZWDEMO_TRIALS_CAP})")
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_DEMO_SEED})")
     p.set_defaults(func=_cmd_zwdemo)

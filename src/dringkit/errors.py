@@ -57,6 +57,11 @@ class NormIntegralityError(DRingKitError):
     """A norm polynomial coefficient kept a nonzero w-part; arithmetic bug."""
 
 
+class VerificationError(DRingKitError):
+    """An answer failed its own re-check (a quotient, a root, an identity);
+    arithmetic bug."""
+
+
 class GcdReductionError(DRingKitError):
     """Norm-Euclidean descent could not find a norm-decreasing remainder."""
 

@@ -21,10 +21,11 @@ from .errors import (
     SearchCapExceededError,
     SearchPreconditionError,
     UnsupportedRingError,
+    VerificationError,
     ZeroInputError,
 )
 from .polynomials import Poly, exact_divide, is_primitive
-from .rings import ZZ, QuadInt, WRational
+from .rings import ZZ, QuadInt, WRational, primes_up_to
 
 DEFAULT_WINDOW = 20
 GROWTH_SCAN_CAP = 10**6
@@ -130,7 +131,8 @@ def certify_divisibility(f: Poly, g: Poly, search_bound: int = 1000) -> Divisibi
         raise NotPrimitiveError("the divisor must be primitive (unit content)")
     quotient = exact_divide(f, g)
     if quotient is not None:
-        assert g * quotient == f, "certified quotient failed re-expansion"
+        if g * quotient != f:
+            raise VerificationError("certified quotient failed re-expansion")
         return DivisibilityCertificate("DIVIDES", quotient, None)
     for k in witness_scan_order(search_bound):
         gval = g.evaluate(k)
@@ -179,18 +181,6 @@ def growth_witness(f: Poly, g: Poly) -> int:
     )
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, flag in enumerate(flags) if flag]
-
-
 @dataclass(frozen=True)
 class PrimeSolvabilityRecord:
     """A prime p together with the least root of f in [0, p) modulo p."""
@@ -222,7 +212,10 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
     for p in primes_up_to(prime_limit):
         k = _least_root_mod(f.coeffs, p)
         if k is not None:
-            assert f.evaluate(k) % p == 0, "modular root failed the exact recheck"
+            if f.evaluate(k) % p:
+                raise VerificationError(
+                    f"modular root {k} of {f} failed the exact recheck at p = {p}"
+                )
             records.append(PrimeSolvabilityRecord(p, k))
     return records
 
@@ -432,7 +425,8 @@ def cheb_generate(n_max: int) -> list[ChebPair]:
         qs.append(_two_x_times_minus(qs[-1], qs[-2]))
     pairs = [ChebPair(n, ps[n], qs[n]) for n in range(n_max + 1)]
     for pair in pairs[1:]:
-        assert is_primitive(pair.p), f"p_{pair.n} lost primitivity"
+        if not is_primitive(pair.p):
+            raise VerificationError(f"p_{pair.n} lost primitivity")
     return pairs
 
 

@@ -2,7 +2,7 @@
 
 The Galois group of a quadratic extension is {identity, conjugation}, so the
 norm of a polynomial is the product of the polynomial with its conjugate; the
-result always lands in Z[x] and that integrality is asserted rather than
+result always lands in Z[x] and that integrality is checked rather than
 trusted.
 """
 
@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NormIntegralityError, RingMismatchError, UnsupportedRingError
+from .errors import (
+    NormIntegralityError,
+    RingMismatchError,
+    UnsupportedRingError,
+    VerificationError,
+)
 from .polynomials import Poly
 from .rings import ZZ, QuadInt, QuadRing
 
@@ -107,9 +112,8 @@ def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferRep
         fval = f.evaluate(point)
         gnorm = divisor_norm.evaluate(point)
         fnorm = dividend_norm.evaluate(point)
-        assert gnorm == gval.norm() and fnorm == fval.norm(), (
-            "norm evaluation disagreed with elementwise norm"
-        )
+        if gnorm != gval.norm() or fnorm != fval.norm():
+            raise VerificationError("norm evaluation disagreed with elementwise norm")
         if not gval:
             records.append(
                 TransferSample(point, gval, fval, gnorm, fnorm, None, None, STATUS_VACUOUS)

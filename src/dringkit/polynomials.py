@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import RingMismatchError, ZeroPolynomialError
+from .errors import RingMismatchError, VerificationError, ZeroPolynomialError
 from .rings import NORM_EUCLIDEAN_D, ZZ, IntegerRing, QuadInt, QuadRing, _decimal, quad_gcd
 
 CoefficientRing = Union[IntegerRing, QuadRing]
@@ -223,7 +223,8 @@ def primitive_part(p: Poly) -> tuple[Element, Poly]:
     parts = []
     for value in p.coeffs:
         q = c.divides(value)
-        assert q is not None, "content must divide every coefficient"
+        if q is None:
+            raise VerificationError("content must divide every coefficient")
         parts.append(q)
     return c, Poly._trusted(parts, p.ring)
 
@@ -264,7 +265,8 @@ def pseudo_divide(f: Poly, g: Poly) -> PseudoDivResult:
     quotient = Poly._trusted(q, ring)
     remainder = Poly._trusted(u[:n], ring)
     multiplier = powers[s]
-    assert f * multiplier == g * quotient + remainder, "pseudo-division identity failed"
+    if f * multiplier != g * quotient + remainder:
+        raise VerificationError("pseudo-division identity failed")
     return PseudoDivResult(multiplier, quotient, remainder, s)
 
 
@@ -333,11 +335,13 @@ def field_divide(f: Poly, g: Poly) -> tuple[Element, Poly] | None:
     if ring.d in NORM_EUCLIDEAN_D:
         t = quad_gcd(ring.coerce(den), content(q))
         reduced_den = t.divides(den)
-        assert reduced_den is not None
+        if reduced_den is None:
+            raise VerificationError("the gcd must divide the scaling factor")
         parts = []
         for c in q.coeffs:
             piece = t.divides(c)
-            assert piece is not None
+            if piece is None:
+                raise VerificationError("the gcd must divide every quotient coefficient")
             parts.append(piece)
         return reduced_den, Poly._trusted(parts, ring)
     return den, q

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain, count
 
 from .errors import (
     DenominatorNotInW,
@@ -84,6 +86,50 @@ def factorize(n: int) -> dict[int, int]:
 def is_w_prime(p: int) -> bool:
     """The primes whose reciprocals are adjoined to form Z[W]: 2 and p = 1 mod 4."""
     return p == 2 or p % 4 == 1
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit by a sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    return [i for i, flag in enumerate(flags) if flag]
+
+
+# Trial divisors for Z[W] membership: the odd primes below 2^16, sieved on
+# first use rather than at import.
+_W_TABLE_LIMIT = 2**16
+
+
+@cache
+def _odd_prime_table() -> tuple[int, ...]:
+    return tuple(primes_up_to(_W_TABLE_LIMIT)[1:])
+
+
+def _first_non_w_prime(n: int) -> int | None:
+    """The least prime factor of n >= 1 that is 3 mod 4, or None when every
+    prime factor is 2 or 1 mod 4.
+
+    Trial division that returns at the first factor 3 mod 4 and divides out
+    each factor 1 mod 4. Once p * p exceeds the cofactor m, m is 1 or a prime
+    larger than every divisor tried. Past the prime table the odd numbers
+    serve as candidates, so the cost is O(sqrt n) divisions at worst.
+    """
+    m = n >> ((n & -n).bit_length() - 1)
+    for p in chain(_odd_prime_table(), count(_W_TABLE_LIMIT + 1, 2)):
+        if p * p > m:
+            break
+        if not m % p:
+            if not is_w_prime(p):
+                return p
+            m //= p
+            while not m % p:
+                m //= p
+    return None if is_w_prime(m) else m
 
 
 class IntegerRing:
@@ -363,7 +409,7 @@ class WRational:
     """Reduced fraction whose denominator factors over {2} and primes = 1 mod 4.
 
     Construction normalizes the sign into the numerator, divides out the gcd,
-    and trial-factors the reduced denominator to validate membership.
+    and trial-divides the reduced denominator to validate membership.
     """
 
     num: int
@@ -381,11 +427,9 @@ class WRational:
             den //= g
         if den > _MAX_W_DENOMINATOR:
             raise ValueError(f"reduced denominator exceeds {_MAX_W_DENOMINATOR}")
-        for p in factorize(den):
-            if not is_w_prime(p):
-                raise DenominatorNotInW(
-                    f"prime {p} divides the denominator but is 3 mod 4"
-                )
+        p = _first_non_w_prime(den)
+        if p is not None:
+            raise DenominatorNotInW(f"prime {p} divides the denominator but is 3 mod 4")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -429,10 +473,14 @@ class WRational:
 
     def is_unit(self) -> bool:
         """True when the inverse also lies in the ring, i.e. every prime factor
-        of the reduced numerator is 2 or 1 mod 4."""
+        of the reduced numerator is 2 or 1 mod 4. The numerator is capped like
+        the denominator, which bounds the trial division."""
         if self.num == 0:
             raise ZeroInputError("zero is not a unit candidate")
-        return all(is_w_prime(p) for p in factorize(abs(self.num)))
+        n = abs(self.num)
+        if n > _MAX_W_DENOMINATOR:
+            raise ValueError(f"reduced numerator exceeds {_MAX_W_DENOMINATOR}")
+        return _first_non_w_prime(n) is None
 
     def __str__(self) -> str:
         return f"{_decimal(self.num)}/{_decimal(self.den)}"

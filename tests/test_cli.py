@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from dringkit import cli
-from dringkit.cli import SF_LIMIT_CAP, main
+from dringkit import cli, lab
+from dringkit.cli import CHEB_N_CAP, SF_LIMIT_CAP, ZWDEMO_TRIALS_CAP, main
 
 
 def run(capsys, *argv):
@@ -209,6 +209,24 @@ def test_resource_failures_exit_two_without_a_traceback(capsys, monkeypatch, exc
     assert "Traceback" not in err
 
 
+def test_a_failed_root_recheck_exits_two_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(lab, "_least_root_mod", lambda coeffs, p: 1)
+    code, out, err = run(capsys, "sf", "x^2+1", "--limit", "30")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exact recheck" in err
+
+
+def test_a_failed_re_expansion_exits_two_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(lab, "exact_divide", lambda f, g: f)
+    code, out, err = run(capsys, "divides", "x^2-1", "x-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "re-expansion" in err
+
+
 # --- cheb ------------------------------------------------------------------------
 
 
@@ -234,6 +252,16 @@ def test_cheb_certify_rejects_n_zero(capsys):
     assert "at least 1" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--certify"]])
+def test_cheb_n_above_the_cap_is_a_usage_error(capsys, monkeypatch, extra):
+    monkeypatch.setattr(cli, "cheb_generate", None)  # must not be reached
+    monkeypatch.setattr(cli, "cheb_certify", None)
+    code, out, err = run(capsys, "cheb", "--n", str(CHEB_N_CAP + 1), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(CHEB_N_CAP) in err
+
+
 # --- zwdemo ------------------------------------------------------------------------
 
 
@@ -257,6 +285,14 @@ def test_zwdemo_flag_overrides_environment(capsys, monkeypatch):
     monkeypatch.setenv("DRINGKIT_SEED", "4242")
     code, payload = run_json(capsys, "zwdemo", "--trials", "50", "--seed", "1")
     assert payload["seed"] == "1"
+
+
+def test_zwdemo_trials_above_the_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "zw_unit_demo", None)  # must not be reached
+    code, out, err = run(capsys, "zwdemo", "--trials", str(ZWDEMO_TRIALS_CAP + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(ZWDEMO_TRIALS_CAP) in err
 
 
 # --- transfer ------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Pointwise checks, certification, prime searches, and the demos."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from dringkit import (
     Poly,
     QuadRing,
     SearchPreconditionError,
+    VerificationError,
     ZeroInputError,
     certify_divisibility,
     cheb_certify,
@@ -26,6 +29,7 @@ from dringkit import (
     witness_scan_order,
     zw_unit_demo,
 )
+from dringkit import lab
 from helpers import brute_is_prime
 
 FERMAT_F = parse_poly("x^5 - x")
@@ -333,3 +337,36 @@ def test_cheb_certify_small_indices():
 def test_cheb_certify_rejects_index_zero():
     with pytest.raises(ValueError):
         cheb_certify(0)
+
+
+# --- self-checks ----------------------------------------------------------------
+#
+# Each answer is re-verified by a check that raises VerificationError, so the
+# check also runs under `python -O`, which strips assert statements.
+
+
+def test_sf_search_rejects_a_root_that_fails_the_exact_recheck(monkeypatch):
+    monkeypatch.setattr(lab, "_least_root_mod", lambda coeffs, p: 1)
+    with pytest.raises(VerificationError, match="exact recheck"):
+        sf_search(parse_poly("x^2 + 1"), 7)
+
+
+def test_certify_rejects_a_quotient_that_fails_re_expansion(monkeypatch):
+    monkeypatch.setattr(lab, "exact_divide", lambda f, g: f)
+    with pytest.raises(VerificationError, match="re-expansion"):
+        certify_divisibility(parse_poly("x^2 - 1"), parse_poly("x - 1"))
+
+
+def test_the_root_recheck_survives_python_dash_o():
+    code = (
+        "import dringkit.lab as lab\n"
+        "from dringkit import VerificationError, parse_poly\n"
+        "assert False, 'assert statements must be stripped here'\n"
+        "lab._least_root_mod = lambda coeffs, p: 1\n"
+        "try:\n"
+        "    lab.sf_search(parse_poly('x^2 + 1'), 7)\n"
+        "except VerificationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    assert subprocess.run([sys.executable, "-O", "-c", code]).returncode == 0
