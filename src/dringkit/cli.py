@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from typing import Sequence
 
 from .errors import ArgumentCapError, DRingKitError, UnsupportedRingError
@@ -22,32 +23,22 @@ from .lab import (
     DEFAULT_DEMO_SEED,
     DEFAULT_WINDOW,
     SAMPLE_WINDOW_NOTE,
+    _cheb_pairs,
     certify_divisibility,
     cheb_certify,
-    cheb_generate,
     eval_divisibility,
     sf_search,
     zw_unit_demo,
 )
 from .norms import conjugate_poly, norm_poly, norm_transfer_check
 from .parsing import parse_poly, parse_ring
-from .polynomials import Poly, primitive_part, pseudo_divide
-from .rings import QuadInt, QuadRing, _decimal
+from .polynomials import primitive_part, pseudo_divide
+from .rings import ZZ, QuadRing, _decimal
 
 SEED_ENV_VAR = "DRINGKIT_SEED"
 SF_LIMIT_CAP = 10**6
 CHEB_N_CAP = 1000
 ZWDEMO_TRIALS_CAP = 500_000
-
-
-def _num(value: int) -> str:
-    return _decimal(value)
-
-
-def _elt(value) -> str:
-    if isinstance(value, QuadInt):
-        return f"[{value}]"
-    return _decimal(value)
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -70,16 +61,16 @@ def _require_quad(ring) -> QuadRing:
     return ring
 
 
-def _eval_report_payload(report) -> dict:
+def _eval_report_payload(report, ring) -> dict:
     return {
-        "checked": _num(report.checked),
-        "vacuous": _num(report.vacuous),
-        "divisible": _num(report.divisible),
+        "checked": _decimal(report.checked),
+        "vacuous": _decimal(report.vacuous),
+        "divisible": _decimal(report.divisible),
         "failures": [
             {
-                "point": _elt(point),
-                "divisor_value": _elt(gval),
-                "dividend_value": _elt(fval),
+                "point": _decimal(point),
+                "divisor_value": ring.format(gval),
+                "dividend_value": ring.format(fval),
             }
             for point, gval, fval in report.failures
         ],
@@ -87,15 +78,15 @@ def _eval_report_payload(report) -> dict:
     }
 
 
-def _eval_report_lines(report) -> list[str]:
+def _eval_report_lines(report, ring) -> list[str]:
     lines = [
         f"checked: {report.checked}  vacuous: {report.vacuous}  "
         f"divisible: {report.divisible}  failures: {len(report.failures)}",
     ]
     for point, gval, fval in report.failures:
         lines.append(
-            f"failure at k = {_elt(point)}: g(k) = {_elt(gval)} "
-            f"does not divide f(k) = {_elt(fval)}"
+            f"failure at k = {point}: g(k) = {ring.format(gval)} "
+            f"does not divide f(k) = {ring.format(fval)}"
         )
     lines.append(f"verdict: {report.verdict}")
     return lines
@@ -110,15 +101,15 @@ def _cmd_divides(args) -> int:
         "ring": str(ring),
         "f": str(f),
         "g": str(g),
-        "bound": _num(args.bound),
+        "bound": _decimal(args.bound),
     }
     lines = []
     if args.primitive_part:
         cont, g = primitive_part(g)
-        payload["divisor_content"] = _elt(cont)
+        payload["divisor_content"] = ring.format(cont)
         payload["divisor_primitive_part"] = str(g)
         lines.append(
-            f"divisor replaced by its primitive part {g} (content {_elt(cont)})"
+            f"divisor replaced by its primitive part {g} (content {ring.format(cont)})"
         )
     cert = certify_divisibility(f, g, search_bound=args.bound)
     payload["verdict"] = cert.verdict
@@ -129,12 +120,12 @@ def _cmd_divides(args) -> int:
     if cert.witness is not None:
         gval = g.evaluate(cert.witness)
         fval = f.evaluate(cert.witness)
-        payload["witness"] = _num(cert.witness)
-        payload["witness_divisor_value"] = _elt(gval)
-        payload["witness_dividend_value"] = _elt(fval)
+        payload["witness"] = _decimal(cert.witness)
+        payload["witness_divisor_value"] = ring.format(gval)
+        payload["witness_dividend_value"] = ring.format(fval)
         lines.append(
-            f"witness: k = {cert.witness} with g(k) = {_elt(gval)} "
-            f"not dividing f(k) = {_elt(fval)}"
+            f"witness: k = {cert.witness} with g(k) = {ring.format(gval)} "
+            f"not dividing f(k) = {ring.format(fval)}"
         )
     else:
         payload["witness"] = None
@@ -156,13 +147,14 @@ def _cmd_pseudodiv(args) -> int:
         "ring": str(ring),
         "f": str(f),
         "g": str(g),
-        "multiplier": _elt(result.multiplier),
-        "power": _num(result.s),
+        "multiplier": ring.format(result.multiplier),
+        "power": _decimal(result.s),
         "quotient": str(result.quotient),
         "remainder": str(result.remainder),
     }
     lines = [
-        f"multiplier: {_elt(result.multiplier)} (leading coefficient to the power {result.s})",
+        f"multiplier: {ring.format(result.multiplier)} "
+        f"(leading coefficient to the power {result.s})",
         f"quotient: {result.quotient}",
         f"remainder: {result.remainder}",
     ]
@@ -178,10 +170,10 @@ def _cmd_content(args) -> int:
         "command": "content",
         "ring": str(ring),
         "p": str(p),
-        "content": _elt(cont),
+        "content": ring.format(cont),
         "primitive_part": str(prim),
     }
-    lines = [f"content: {_elt(cont)}", f"primitive part: {prim}"]
+    lines = [f"content: {ring.format(cont)}", f"primitive part: {prim}"]
     _emit(args, payload, lines)
     return 0
 
@@ -214,13 +206,13 @@ def _cmd_evalcheck(args) -> int:
         "ring": str(ring),
         "f": str(f),
         "g": str(g),
-        "from": _num(args.lo),
-        "to": _num(args.hi),
+        "from": _decimal(args.lo),
+        "to": _decimal(args.hi),
         "note": SAMPLE_WINDOW_NOTE,
-        **_eval_report_payload(report),
+        **_eval_report_payload(report, ring),
     }
     lines = [f"samples: k = {args.lo}..{args.hi} ({SAMPLE_WINDOW_NOTE})"]
-    lines.extend(_eval_report_lines(report))
+    lines.extend(_eval_report_lines(report, ring))
     _emit(args, payload, lines)
     return 0 if report.verdict == "ALL_DIVIDE" else 1
 
@@ -233,10 +225,10 @@ def _cmd_sf(args) -> int:
     payload = {
         "command": "sf",
         "f": str(f),
-        "limit": _num(args.limit),
-        "count": _num(len(records)),
+        "limit": _decimal(args.limit),
+        "count": _decimal(len(records)),
         "records": [
-            {"prime": _num(r.prime), "root": _num(r.root)} for r in records
+            {"prime": _decimal(r.prime), "root": _decimal(r.root)} for r in records
         ],
     }
     lines = [f"primes p <= {args.limit} at which {f} has a root mod p: {len(records)}"]
@@ -256,21 +248,21 @@ def _cmd_cheb(args) -> int:
         cert = report.certificate
         payload = {
             "command": "cheb",
-            "n": _num(args.n),
-            "from": _num(args.lo),
-            "to": _num(args.hi),
+            "n": _decimal(args.n),
+            "from": _decimal(args.lo),
+            "to": _decimal(args.hi),
             "note": SAMPLE_WINDOW_NOTE,
-            "evaluation": _eval_report_payload(report.evaluation),
+            "evaluation": _eval_report_payload(report.evaluation, ZZ),
             "certificate": {
                 "verdict": cert.verdict,
                 "quotient": str(cert.quotient) if cert.quotient is not None else None,
-                "witness": _num(cert.witness) if cert.witness is not None else None,
+                "witness": _decimal(cert.witness) if cert.witness is not None else None,
             },
             "passed": report.passed,
         }
         lines = [
             f"evaluation phase over k = {args.lo}..{args.hi}:",
-            *_eval_report_lines(report.evaluation),
+            *_eval_report_lines(report.evaluation, ZZ),
             f"polynomial phase: {cert.verdict}",
         ]
         if cert.quotient is not None:
@@ -278,10 +270,10 @@ def _cmd_cheb(args) -> int:
         lines.append(f"passed: {report.passed}")
         _emit(args, payload, lines)
         return 0 if report.passed else 1
-    pair = cheb_generate(args.n)[args.n]
+    pair = deque(_cheb_pairs(args.n), maxlen=1).pop()
     payload = {
         "command": "cheb",
-        "n": _num(args.n),
+        "n": _decimal(args.n),
         "p": str(pair.p),
         "q": str(pair.q),
     }
@@ -302,9 +294,9 @@ def _cmd_zwdemo(args) -> int:
     report = zw_unit_demo(args.trials, seed)
     payload = {
         "command": "zwdemo",
-        "trials": _num(report.trials),
-        "seed": _num(report.seed),
-        "passes": _num(report.passes),
+        "trials": _decimal(report.trials),
+        "seed": _decimal(report.seed),
+        "passes": _decimal(report.passes),
         "failures": [
             {"argument": str(argument), "value": str(value)}
             for argument, value in report.failures
@@ -332,18 +324,18 @@ def _cmd_transfer(args) -> int:
         "ring": str(ring),
         "f": str(f),
         "g": str(g),
-        "from": _num(args.lo),
-        "to": _num(args.hi),
+        "from": _decimal(args.lo),
+        "to": _decimal(args.hi),
         "note": SAMPLE_WINDOW_NOTE,
         "norm_f": str(report.dividend_norm_poly),
         "norm_g": str(report.divisor_norm_poly),
         "samples": [
             {
-                "point": _num(s.point),
-                "divisor_value": _elt(s.divisor_value),
-                "dividend_value": _elt(s.dividend_value),
-                "divisor_norm": _num(s.divisor_norm),
-                "dividend_norm": _num(s.dividend_norm),
+                "point": _decimal(s.point),
+                "divisor_value": ring.format(s.divisor_value),
+                "dividend_value": ring.format(s.dividend_value),
+                "divisor_norm": _decimal(s.divisor_norm),
+                "dividend_norm": _decimal(s.dividend_norm),
                 "element_divides": s.element_divides,
                 "norm_divides": s.norm_divides,
                 "status": s.status,
@@ -359,8 +351,9 @@ def _cmd_transfer(args) -> int:
     ]
     for s in report.samples:
         lines.append(
-            f"b = {s.point}: g(b) = {_elt(s.divisor_value)}, f(b) = {_elt(s.dividend_value)}, "
-            f"G(b) = {_num(s.divisor_norm)}, F(b) = {_num(s.dividend_norm)}, "
+            f"b = {s.point}: g(b) = {ring.format(s.divisor_value)}, "
+            f"f(b) = {ring.format(s.dividend_value)}, "
+            f"G(b) = {_decimal(s.divisor_norm)}, F(b) = {_decimal(s.dividend_norm)}, "
             f"element divides: {s.element_divides}, norm divides: {s.norm_divides} -> {s.status}"
         )
     lines.append(f"verdict: {report.verdict}")

@@ -25,7 +25,7 @@ from .errors import (
     ZeroInputError,
 )
 from .polynomials import Poly, exact_divide, is_primitive
-from .rings import ZZ, QuadInt, WRational, primes_up_to
+from .rings import ZZ, WRational, primes_up_to
 
 DEFAULT_WINDOW = 20
 GROWTH_SCAN_CAP = 10**6
@@ -41,12 +41,6 @@ SAMPLE_WINDOW_NOTE = (
 def default_samples() -> list[int]:
     """The symmetric integer window used when callers do not supply samples."""
     return list(range(-DEFAULT_WINDOW, DEFAULT_WINDOW + 1))
-
-
-def _value_divides(gval, fval) -> bool:
-    if isinstance(gval, QuadInt):
-        return gval.divides(fval) is not None
-    return fval % gval == 0
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,7 @@ def eval_divisibility(f: Poly, g: Poly, samples: Iterable) -> EvalDivReport:
             vacuous += 1
             continue
         fval = f.evaluate(k)
-        if not _value_divides(gval, fval):
+        if f.ring.divides(gval, fval) is None:
             failures.append((k, gval, fval))
     verdict = "ALL_DIVIDE" if not failures else "FAILED"
     return EvalDivReport(len(points), vacuous, tuple(failures), verdict)
@@ -136,7 +130,7 @@ def certify_divisibility(f: Poly, g: Poly, search_bound: int = 1000) -> Divisibi
         return DivisibilityCertificate("DIVIDES", quotient, None)
     for k in witness_scan_order(search_bound):
         gval = g.evaluate(k)
-        if gval and not _value_divides(gval, f.evaluate(k)):
+        if gval and f.ring.divides(gval, f.evaluate(k)) is None:
             return DivisibilityCertificate("NOT_DIVIDES", None, k)
     return DivisibilityCertificate("NOT_DIVIDES", None, None)
 
@@ -412,22 +406,25 @@ class ChebPair:
 
 
 def cheb_generate(n_max: int) -> list[ChebPair]:
-    """Pairs for n = 0..n_max with exact integer coefficients.
+    """Pairs for n = 0..n_max with exact integer coefficients; each p_n with
+    n >= 1 is checked to be primitive."""
+    return list(_cheb_pairs(n_max))
 
-    Each p_n with n >= 1 is checked to be primitive before returning.
-    """
+
+def _cheb_pairs(n_max: int) -> Iterator[ChebPair]:
+    """cheb_generate's pairs one at a time, holding only the last two."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    ps = [Poly.one(ZZ), Poly.x(ZZ)]
-    qs = [Poly.zero(ZZ), Poly.one(ZZ)]
-    while len(ps) <= n_max:
-        ps.append(_two_x_times_minus(ps[-1], ps[-2]))
-        qs.append(_two_x_times_minus(qs[-1], qs[-2]))
-    pairs = [ChebPair(n, ps[n], qs[n]) for n in range(n_max + 1)]
-    for pair in pairs[1:]:
-        if not is_primitive(pair.p):
-            raise VerificationError(f"p_{pair.n} lost primitivity")
-    return pairs
+    p_prev, p = Poly.one(ZZ), Poly.x(ZZ)
+    q_prev, q = Poly.zero(ZZ), Poly.one(ZZ)
+    yield ChebPair(0, p_prev, q_prev)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            p_prev, p = p, _two_x_times_minus(p, p_prev)
+            q_prev, q = q, _two_x_times_minus(q, q_prev)
+        if not is_primitive(p):
+            raise VerificationError(f"p_{n} lost primitivity")
+        yield ChebPair(n, p, q)
 
 
 def _two_x_times_minus(a: Poly, b: Poly) -> Poly:
@@ -456,9 +453,10 @@ def cheb_certify(n: int, eval_range: Iterable[int] | None = None) -> ChebCertify
     of p_n) and as polynomials with a multiplication-verified quotient."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    pairs = cheb_generate(2 * n)
-    divisor = pairs[n].p
-    dividend = pairs[2 * n].q
+    for pair in _cheb_pairs(2 * n):
+        if pair.n == n:
+            divisor = pair.p
+    dividend = pair.q
     samples = list(eval_range) if eval_range is not None else default_samples()
     evaluation = eval_divisibility(dividend, divisor, samples)
     certificate = certify_divisibility(dividend, divisor)

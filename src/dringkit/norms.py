@@ -26,10 +26,10 @@ STATUS_VIOLATION = "violation"
 
 
 def conjugate_poly(p: Poly) -> Poly:
-    """Apply the ring conjugation to every coefficient; fixes Z-polynomials."""
-    if p.ring == ZZ:
-        return p
-    return Poly._trusted([c.conjugate() for c in p.coeffs], p.ring)
+    """Apply the ring conjugation to every coefficient. A polynomial that it
+    fixes, such as every polynomial over Z, is returned as is."""
+    coeffs = [c.conjugate() for c in p.coeffs]
+    return p if tuple(coeffs) == p.coeffs else Poly._trusted(coeffs, p.ring)
 
 
 def norm_poly(p: Poly) -> Poly:
@@ -48,18 +48,6 @@ def norm_poly(p: Poly) -> Poly:
             raise NormIntegralityError(f"coefficient of x^{i} kept w-part {c.b}")
         values.append(c.a)
     return Poly._trusted(values, ZZ)
-
-
-@dataclass(frozen=True)
-class NormPair:
-    """A quadratic-coefficient polynomial together with its norm over Z."""
-
-    source: Poly
-    norm: Poly
-
-    @classmethod
-    def of(cls, p: Poly) -> "NormPair":
-        return cls(p, norm_poly(p))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ powers, "+"/"-" separators and an optional "*" between coefficient and
 variable. Over a quadratic ring, coefficients may be bracketed as "[a+bw]"
 (also "[a]", "[bw]", "[w]", with either sign on each part). Whitespace is
 insignificant, terms may repeat and appear in any order (they are summed),
-and floating-point or rational literals are rejected outright.
+and floating-point or rational literals are rejected outright. The tokenizer
+rejects an exponent over MAX_EXPONENT and an integer literal over
+MAX_LITERAL_DIGITS digits (the interpreter's default limit for int(str))
+before any coefficient list is allocated.
 
 Printing lives on Poly.__str__ and round-trips through parse_poly.
 """
@@ -20,6 +23,8 @@ from .polynomials import CoefficientRing, Poly
 from .rings import NORM_EUCLIDEAN_D, ZZ, QuadRing
 
 _RING_PATTERN = re.compile(r"^Q\(\s*sqrt\s*(-?\d+)\s*\)$")
+MAX_EXPONENT = 10_000
+MAX_LITERAL_DIGITS = 4_300
 
 
 def parse_ring(spec: str) -> CoefficientRing:
@@ -58,7 +63,12 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), i))
+            if j - i > MAX_LITERAL_DIGITS:
+                raise PolyParseError(f"integer literal over {MAX_LITERAL_DIGITS} digits", i)
+            value = int(text[i:j])
+            if tokens and tokens[-1].kind == "^" and value > MAX_EXPONENT:
+                raise PolyParseError(f"exponent above the cap of {MAX_EXPONENT}", i)
+            tokens.append(_Token("int", value, i))
             i = j
             continue
         if c in "+-*^[]xw":

@@ -15,12 +15,16 @@ zeros.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import RingMismatchError, VerificationError, ZeroPolynomialError
-from .rings import NORM_EUCLIDEAN_D, ZZ, IntegerRing, QuadInt, QuadRing, _decimal, quad_gcd
+from .errors import (
+    RingMismatchError,
+    UnsupportedRingError,
+    VerificationError,
+    ZeroPolynomialError,
+)
+from .rings import ZZ, IntegerRing, QuadInt, QuadRing, _decimal
 
 CoefficientRing = Union[IntegerRing, QuadRing]
 Element = Union[int, QuadInt]
@@ -177,9 +181,7 @@ def _term_text(c: Element, power: int) -> tuple[int, str]:
         return sign, f"[{m}]{var}"
     sign = 1 if c > 0 else -1
     m = abs(c)
-    if not var:
-        return sign, _decimal(m)
-    return sign, var if m == 1 else _decimal(m) + var
+    return sign, var if var and m == 1 else _decimal(m) + var
 
 
 @dataclass(frozen=True)
@@ -199,33 +201,20 @@ def content(p: Poly) -> Element:
     """Gcd of the coefficients: positive over Z, an arbitrary associate over Z[w]."""
     if not p:
         raise ZeroPolynomialError("the zero polynomial has no content")
-    if p.ring == ZZ:
-        return math.gcd(*p.coeffs)
-    g = p.ring.zero
-    for c in p.coeffs:
-        if not c:
-            continue
-        g = c if not g else quad_gcd(g, c)
-    return g
+    return p.ring.gcd(*p.coeffs)
 
 
 def is_primitive(p: Poly) -> bool:
     """True when the content is a unit (tested via the norm over Z[w])."""
-    c = content(p)
-    return c == 1 if p.ring == ZZ else c.is_unit()
+    return p.ring.is_unit(content(p))
 
 
 def primitive_part(p: Poly) -> tuple[Element, Poly]:
     """Split p as content * primitive polynomial of the same degree."""
     c = content(p)
-    if p.ring == ZZ:
-        return c, Poly._trusted([value // c for value in p.coeffs], ZZ)
-    parts = []
-    for value in p.coeffs:
-        q = c.divides(value)
-        if q is None:
-            raise VerificationError("content must divide every coefficient")
-        parts.append(q)
+    parts = [p.ring.divides(c, value) for value in p.coeffs]
+    if None in parts:
+        raise VerificationError("content must divide every coefficient")
     return c, Poly._trusted(parts, p.ring)
 
 
@@ -287,6 +276,7 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
     if f.degree() < n:
         return None
     lead = g.coeffs[n]
+    divides = ring.divides
     terms = [(i, d) for i, d in enumerate(g.coeffs[:n]) if d]
     r = list(f.coeffs)
     q = [ring.zero] * (len(r) - n)
@@ -294,7 +284,7 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
         c = r[n + k]
         if not c:
             continue
-        c = _exact_coeff_quotient(c, lead, ring)
+        c = divides(lead, c)
         if c is None:
             return None
         q[k] = c
@@ -303,13 +293,6 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
     if any(r[:n]):
         return None
     return Poly._trusted(q, ring)
-
-
-def _exact_coeff_quotient(value: Element, lead: Element, ring: CoefficientRing):
-    if ring == ZZ:
-        quot, rem = divmod(value, lead)
-        return quot if rem == 0 else None
-    return lead.divides(value)
 
 
 def field_divide(f: Poly, g: Poly) -> tuple[Element, Poly] | None:
@@ -327,21 +310,13 @@ def field_divide(f: Poly, g: Poly) -> tuple[Element, Poly] | None:
     den, q = result.multiplier, result.quotient
     if not q:
         return ring.one, q
-    if ring == ZZ:
-        if den < 0:
-            den, q = -den, -q
-        t = math.gcd(den, content(q))
-        return den // t, Poly._trusted([c // t for c in q.coeffs], ZZ)
-    if ring.d in NORM_EUCLIDEAN_D:
-        t = quad_gcd(ring.coerce(den), content(q))
-        reduced_den = t.divides(den)
-        if reduced_den is None:
-            raise VerificationError("the gcd must divide the scaling factor")
-        parts = []
-        for c in q.coeffs:
-            piece = t.divides(c)
-            if piece is None:
-                raise VerificationError("the gcd must divide every quotient coefficient")
-            parts.append(piece)
-        return reduced_den, Poly._trusted(parts, ring)
-    return den, q
+    try:
+        t = ring.gcd(den, content(q))
+    except UnsupportedRingError:  # no gcd off the norm-Euclidean whitelist
+        return den, q
+    den, *parts = [ring.divides(t, c) for c in (den, *q.coeffs)]
+    if den is None or None in parts:
+        raise VerificationError("the gcd must divide den and q")
+    if ring == ZZ and den < 0:
+        den, parts = -den, [-c for c in parts]
+    return den, Poly._trusted(parts, ring)

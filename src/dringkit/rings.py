@@ -138,6 +138,20 @@ class IntegerRing:
     zero = 0
     one = 1
 
+    def divides(self, a: int, b: int) -> int | None:
+        """b / a when a divides b, else None."""
+        q, r = divmod(b, a)
+        return None if r else q
+
+    def gcd(self, *values: int) -> int:
+        return math.gcd(*values)
+
+    def is_unit(self, c: int) -> bool:
+        return c == 1 or c == -1
+
+    def format(self, c: int) -> str:
+        return _decimal(c)
+
     def coerce(self, value) -> int:
         if isinstance(value, QuadInt):
             raise RingMismatchError(
@@ -211,6 +225,24 @@ class QuadRing:
         if isinstance(value, int):
             return QuadInt(value, 0, self)
         raise TypeError(f"cannot interpret {type(value).__name__} in {self}")
+
+    def divides(self, a: "QuadInt", b: "QuadInt") -> "QuadInt | None":
+        """b / a when a divides b in Z[w], else None."""
+        return a.divides(b)
+
+    def gcd(self, *values: "QuadInt") -> "QuadInt":
+        """A gcd by norm-Euclidean descent over the nonzero values, left to right."""
+        g = self.zero
+        for c in values:
+            if c:
+                g = c if not g else quad_gcd(g, c)
+        return g
+
+    def is_unit(self, c: "QuadInt") -> bool:
+        return c.is_unit()
+
+    def format(self, c: "QuadInt") -> str:
+        return f"[{c}]"
 
     def __str__(self) -> str:
         return f"Q(sqrt {self.d})"

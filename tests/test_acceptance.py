@@ -29,6 +29,9 @@ from dringkit import (
 )
 from helpers import TEST_QUAD_DS, brute_is_prime, rand_poly, rand_primitive
 
+# Quadratic rings for the round-trip and witness gates: two imaginary, two real.
+GATE_QUAD_DS = (-1, -3, 2, 5)
+
 
 @contextmanager
 def gate(number: int, label: str):
@@ -205,3 +208,38 @@ def test_gate_11_witness_search_hit_rate():
             # reported, not failed: a witness exists in Z but beyond the bound
             print(f"no witness within 1000 for f = {f}, g = {g}")
         assert len(missing) <= 5, f"hit rate below 99%: {500 - len(missing)}/500"
+
+
+def test_gate_10_round_trip_certification_over_quadratic_rings():
+    with gate(10, "certify recovers the exact quotient on 200 built multiples per d"):
+        for d in GATE_QUAD_DS:
+            ring = QuadRing(d)
+            rng = random.Random(100_001 + d)
+            for _ in range(200):
+                g = rand_primitive(rng, ring, min_deg=1, max_deg=6, bound=50)
+                q = rand_poly(rng, ring, min_deg=0, max_deg=6, bound=50)
+                cert = certify_divisibility(g * q, g)
+                assert cert.verdict == "DIVIDES", f"d = {d}"
+                assert cert.quotient == q, f"d = {d}"
+
+
+def test_gate_11_witness_search_hit_rate_over_quadratic_rings():
+    with gate(11, "witnesses within |k| <= 200 on >= 99% of 200 non-multiples per d"):
+        for d in GATE_QUAD_DS:
+            ring = QuadRing(d)
+            rng = random.Random(110_001 + d)
+            instances = 0
+            missing = []
+            while instances < 200:
+                g = rand_primitive(rng, ring, min_deg=1, max_deg=6, bound=50)
+                f = rand_poly(rng, ring, min_deg=0, max_deg=12, bound=50)
+                if exact_divide(f, g) is not None:
+                    continue
+                instances += 1
+                cert = certify_divisibility(f, g, search_bound=200)
+                assert cert.verdict == "NOT_DIVIDES", f"d = {d}"
+                if cert.witness is None:
+                    missing.append((f, g))
+            for f, g in missing:
+                print(f"d = {d}: no witness within 200 for f = {f}, g = {g}")
+            assert len(missing) <= 2, f"d = {d}: hit rate below 99%: {200 - len(missing)}/200"

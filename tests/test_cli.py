@@ -6,6 +6,7 @@ import pytest
 
 from dringkit import cli, lab
 from dringkit.cli import CHEB_N_CAP, SF_LIMIT_CAP, ZWDEMO_TRIALS_CAP, main
+from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
 
 
 def run(capsys, *argv):
@@ -254,7 +255,7 @@ def test_cheb_certify_rejects_n_zero(capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--certify"]])
 def test_cheb_n_above_the_cap_is_a_usage_error(capsys, monkeypatch, extra):
-    monkeypatch.setattr(cli, "cheb_generate", None)  # must not be reached
+    monkeypatch.setattr(cli, "_cheb_pairs", None)  # must not be reached
     monkeypatch.setattr(cli, "cheb_certify", None)
     code, out, err = run(capsys, "cheb", "--n", str(CHEB_N_CAP + 1), *extra)
     assert code == 2
@@ -358,3 +359,15 @@ def test_integers_past_the_str_digit_limit_are_printed_in_full(capsys):
     code, out, err = run(capsys, "pseudodiv", "x^50", divisor)
     assert code == 0 and err == ""
     assert "multiplier: 1" + "0" * 5000 + " " in out
+
+
+@pytest.mark.parametrize(
+    "operand",
+    [f"x^{MAX_EXPONENT + 1} + 1", "1" + "0" * MAX_LITERAL_DIGITS + "x + 1"],
+    ids=["exponent", "literal"],
+)
+def test_operands_over_the_parse_caps_exit_two(capsys, operand):
+    code, out, err = run(capsys, "divides", operand, "x + 1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "position" in err

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -337,6 +338,44 @@ def test_cheb_certify_small_indices():
 def test_cheb_certify_rejects_index_zero():
     with pytest.raises(ValueError):
         cheb_certify(0)
+
+
+def test_cheb_certify_holds_only_the_pairs_it_uses():
+    # Keeping every pair up to 2n took 6.7 MB at n = 200 (about n^3 growth)
+    tracemalloc.start()
+    try:
+        report = cheb_certify(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2_000_000, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("run, checked", [
+    (lambda: cheb_generate(7), 7),
+    (lambda: cheb_certify(5, range(-3, 4)), 10),
+])
+def test_every_p_n_is_checked_for_primitivity(monkeypatch, run, checked):
+    original = lab.is_primitive
+    seen = []
+
+    def recording(p):
+        seen.append(p.degree())
+        return original(p)
+
+    monkeypatch.setattr(lab, "is_primitive", recording)
+    run()
+    # certify_divisibility checks its divisor p_n once more
+    assert seen[:checked] == list(range(1, checked + 1))
+
+
+def test_a_p_n_that_lost_primitivity_is_reported(monkeypatch):
+    monkeypatch.setattr(lab, "is_primitive", lambda p: p.degree() != 3)
+    with pytest.raises(VerificationError, match="p_3 lost primitivity"):
+        cheb_certify(2)
+    with pytest.raises(VerificationError, match="p_3 lost primitivity"):
+        cheb_generate(5)
 
 
 # --- self-checks ----------------------------------------------------------------

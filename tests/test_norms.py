@@ -5,7 +5,6 @@ import random
 import pytest
 
 from dringkit import (
-    NormPair,
     Poly,
     QuadRing,
     UnsupportedRingError,
@@ -93,14 +92,6 @@ def test_norm_poly_is_multiplicative():
             p = rand_poly(rng, ring, min_deg=0, max_deg=5, bound=20)
             q = rand_poly(rng, ring, min_deg=0, max_deg=5, bound=20)
             assert norm_poly(p * q) == norm_poly(p) * norm_poly(q)
-
-
-def test_norm_pair_carries_source_and_norm():
-    p = Poly((GAUSS.element(0, -1), GAUSS.one), GAUSS)
-    pair = NormPair.of(p)
-    assert pair.source == p
-    assert pair.norm == Poly((1, 0, 1))
-    assert pair.norm.degree() == 2 * pair.source.degree()
 
 
 # --- norm transfer ---------------------------------------------------------

@@ -13,6 +13,7 @@ from dringkit import (
     parse_poly,
     parse_ring,
 )
+from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
 from helpers import TEST_QUAD_DS, rand_poly
 
 GAUSS = QuadRing(-1)
@@ -111,6 +112,37 @@ def test_float_rejected_at_the_dot():
     with pytest.raises(PolyParseError) as excinfo:
         parse_poly("1.5x + 2")
     assert excinfo.value.position == 1
+
+
+# --- parse-time caps --------------------------------------------------------
+
+
+def test_exponent_at_the_cap_parses():
+    p = parse_poly(f"x^{MAX_EXPONENT} + 1")
+    assert p.degree() == MAX_EXPONENT
+
+
+@pytest.mark.parametrize("ring", [ZZ, GAUSS])
+def test_exponent_over_the_cap_is_rejected_at_its_position(ring):
+    with pytest.raises(PolyParseError, match=f"cap of {MAX_EXPONENT}") as excinfo:
+        parse_poly(f"3x^2 - x^ {MAX_EXPONENT + 1}", ring)
+    assert excinfo.value.position == 10
+
+
+def test_literal_at_the_cap_parses():
+    literal = "9" * MAX_LITERAL_DIGITS
+    assert parse_poly(f"{literal}x + 1") == Poly((1, int(literal)))
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x + " + "7" * (MAX_LITERAL_DIGITS + 1), 4),
+    ("[2+" + "7" * (MAX_LITERAL_DIGITS + 1) + "w]x", 3),
+    ("x^" + "1" * (MAX_LITERAL_DIGITS + 1), 2),
+], ids=["term", "bracket", "exponent"])
+def test_literal_over_the_cap_is_rejected_at_its_position(text, position):
+    with pytest.raises(PolyParseError, match=f"{MAX_LITERAL_DIGITS} digits") as excinfo:
+        parse_poly(text, GAUSS)
+    assert excinfo.value.position == position
 
 
 # --- round trips ------------------------------------------------------------
