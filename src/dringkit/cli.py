@@ -39,6 +39,7 @@ SEED_ENV_VAR = "DRINGKIT_SEED"
 SF_LIMIT_CAP = 10**6
 CHEB_N_CAP = 1000
 ZWDEMO_TRIALS_CAP = 500_000
+SAMPLE_POINT_CAP = 1000
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -49,7 +50,14 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
+def _check_point_cap(option: str, value: int) -> None:
+    if abs(value) > SAMPLE_POINT_CAP:
+        raise ArgumentCapError(f"|{option}| must not exceed {SAMPLE_POINT_CAP}")
+
+
 def _sample_range(args) -> range:
+    _check_point_cap("--from", args.lo)
+    _check_point_cap("--to", args.hi)
     if args.lo > args.hi:
         raise ValueError("--from must not exceed --to")
     return range(args.lo, args.hi + 1)
@@ -93,6 +101,7 @@ def _eval_report_lines(report, ring) -> list[str]:
 
 
 def _cmd_divides(args) -> int:
+    _check_point_cap("--bound", args.bound)
     ring = parse_ring(args.ring)
     f = parse_poly(args.f, ring)
     g = parse_poly(args.g, ring)
@@ -196,10 +205,10 @@ def _cmd_normpoly(args) -> int:
 
 
 def _cmd_evalcheck(args) -> int:
+    samples = _sample_range(args)
     ring = parse_ring(args.ring)
     f = parse_poly(args.f, ring)
     g = parse_poly(args.g, ring)
-    samples = _sample_range(args)
     report = eval_divisibility(f, g, samples)
     payload = {
         "command": "evalcheck",
@@ -315,10 +324,11 @@ def _cmd_zwdemo(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    samples = _sample_range(args)
     ring = _require_quad(parse_ring(args.ring))
     f = parse_poly(args.f, ring)
     g = parse_poly(args.g, ring)
-    report = norm_transfer_check(f, g, _sample_range(args))
+    report = norm_transfer_check(f, g, samples)
     payload = {
         "command": "transfer",
         "ring": str(ring),
@@ -363,9 +373,9 @@ def _cmd_transfer(args) -> int:
 
 def _add_window(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--from", dest="lo", type=int, default=-DEFAULT_WINDOW,
-                        help="first sample point (default %(default)s)")
+                        help=f"first sample point (default %(default)s, at most {SAMPLE_POINT_CAP} in absolute value)")
     parser.add_argument("--to", dest="hi", type=int, default=DEFAULT_WINDOW,
-                        help="last sample point (default %(default)s)")
+                        help=f"last sample point (default %(default)s, at most {SAMPLE_POINT_CAP} in absolute value)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("--ring", default="Z", help='"Z" or "Q(sqrt d)" (default Z)')
     p.add_argument("--bound", type=int, default=1000,
-                   help="witness scan bound |k| <= B (default %(default)s)")
+                   help=f"witness scan bound |k| <= B (default %(default)s, at most {SAMPLE_POINT_CAP})")
     p.add_argument("--primitive-part", dest="primitive_part", action="store_true",
                    help="replace g by its primitive part before certifying")
     p.set_defaults(func=_cmd_divides)

@@ -1,14 +1,21 @@
 """Text form for polynomials and ring descriptors.
 
-The grammar accepts signed integer coefficients, the variable "x" with "^"
-powers, "+"/"-" separators and an optional "*" between coefficient and
-variable. Over a quadratic ring, coefficients may be bracketed as "[a+bw]"
-(also "[a]", "[bw]", "[w]", with either sign on each part). Whitespace is
-insignificant, terms may repeat and appear in any order (they are summed),
-and floating-point or rational literals are rejected outright. The tokenizer
-rejects an exponent over MAX_EXPONENT and an integer literal over
-MAX_LITERAL_DIGITS digits (the interpreter's default limit for int(str))
-before any coefficient list is allocated.
+The grammar accepts signed integer coefficients written with the ASCII digits
+0-9, the variable "x" with "^" powers, "+"/"-" separators and an optional "*"
+between coefficient and variable. Over a quadratic ring, coefficients may be
+bracketed as "[a+bw]" (also "[a]", "[bw]", "[w]", with either sign on each
+part). Whitespace is insignificant, terms may repeat and appear in any order
+(they are summed), and floating-point or rational literals are rejected
+outright.
+
+Before any term is read, three scans of the whole text look for an unexpected
+character, an integer literal over MAX_LITERAL_DIGITS digits (the
+interpreter's default limit for int(str)) and an exponent over MAX_EXPONENT;
+the error at the earliest position is raised, before any coefficient list is
+allocated. Then one regular expression reads one whole signed term per match.
+The terms are summed as plain ints, one dict over Z and one dict per
+coordinate over Z[w], and the polynomial is built once through
+`Poly._trusted`, since every coefficient is already in the ring.
 
 Printing lives on Poly.__str__ and round-trips through parse_poly.
 """
@@ -16,15 +23,48 @@ Printing lives on Poly.__str__ and round-trips through parse_poly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import PolyParseError, UnsupportedRingError
 from .polynomials import CoefficientRing, Poly
-from .rings import NORM_EUCLIDEAN_D, ZZ, QuadRing
+from .rings import NORM_EUCLIDEAN_D, ZZ, QuadInt, QuadRing
 
-_RING_PATTERN = re.compile(r"^Q\(\s*sqrt\s*(-?\d+)\s*\)$")
+_RING_PATTERN = re.compile(r"^Q\(\s*sqrt\s*(-?[0-9]+)\s*\)$")
 MAX_EXPONENT = 10_000
 MAX_LITERAL_DIGITS = 4_300
+
+_BAD_CHAR = re.compile(r"[^\s0-9+\-*^\[\]xw]")
+_LONG_LITERAL = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_LITERAL_DIGITS + 1))
+# An exponent with at least as many significant digits as the cap.
+_BIG_EXPONENT = re.compile(r"\^\s*(0*[1-9][0-9]{%d,})" % (len(str(MAX_EXPONENT)) - 1))
+
+# One signed term. Every piece is optional, so the match always succeeds and
+# stops at the first token that does not continue the term; the conditionals
+# keep a piece from matching after an incomplete one (a bracket not yet
+# closed), so a structural error always lies at match.end(). Each \s*
+# follows a required token: a piece that fails is skipped without
+# backtracking over the whitespace before it, which keeps a match linear.
+_TERM = re.compile(r"""
+    (?: (?P<sign>[+-])\s* )?
+    (?:
+        (?P<num>[0-9]+)\s*
+      | (?P<lb>\[)\s*
+        (?: (?P<bsign>[+-])\s* )?
+        (?:
+            (?P<a>[0-9]+)\s*
+            (?:
+                (?P<aw>w)\s*
+              | (?P<wsign>[+-])\s*
+                (?: (?P<b>[0-9]+)\s* (?: (?P<bw>w)\s* )? | (?P<w2>w)\s* )?
+            )?
+          | (?P<w1>w)\s*
+        )?
+        (?: (?(a)|(?(w1)|(?!))) (?(wsign)(?(bw)|(?(w2)|(?!)))) (?P<rb>\])\s* )?
+    )?
+    (?: (?(lb)(?(rb)|(?!)))
+        (?: (?(num)|(?(lb)|(?!))) (?P<star>\*)\s* )?
+        (?: (?P<x>x)\s* (?: (?P<caret>\^)\s* (?: (?P<exp>[0-9]+)\s* )? )? )?
+    )?
+""", re.VERBOSE)
 
 
 def parse_ring(spec: str) -> CoefficientRing:
@@ -44,153 +84,88 @@ def parse_ring(spec: str) -> CoefficientRing:
     raise UnsupportedRingError(f'ring spec must be "Z" or "Q(sqrt d)", got {spec!r}')
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: int | None
-    pos: int
+def _check_tokens(text: str) -> None:
+    """Raise the earliest unexpected character, over-long literal or
+    over-cap exponent (an integer right after "^"), if there is one."""
+    bad = _BAD_CHAR.search(text)
+    end = bad.start() if bad else len(text)
+    literal = _LONG_LITERAL.search(text, 0, end)
+    if literal:
+        end = literal.start()
+    for match in _BIG_EXPONENT.finditer(text, 0, end):
+        if int(match.group(1)) > MAX_EXPONENT:
+            raise PolyParseError(f"exponent above the cap of {MAX_EXPONENT}", match.start(1))
+    if literal:
+        raise PolyParseError(f"integer literal over {MAX_LITERAL_DIGITS} digits", end)
+    if bad:
+        raise PolyParseError(f"unexpected character {bad.group()!r}", end)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j - i > MAX_LITERAL_DIGITS:
-                raise PolyParseError(f"integer literal over {MAX_LITERAL_DIGITS} digits", i)
-            value = int(text[i:j])
-            if tokens and tokens[-1].kind == "^" and value > MAX_EXPONENT:
-                raise PolyParseError(f"exponent above the cap of {MAX_EXPONENT}", i)
-            tokens.append(_Token("int", value, i))
-            i = j
-            continue
-        if c in "+-*^[]xw":
-            tokens.append(_Token(c, None, i))
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        token = self.tokens[self.i]
-        self.i += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> _Token:
-        token = self.take()
-        if token.kind != kind:
-            raise PolyParseError(f"expected {what}", token.pos)
-        return token
+def _term_error(m: re.Match) -> str:
+    """What the term read by `m` lacks at m.end()."""
+    if m["lb"] is not None:
+        if m["a"] is None and m["w1"] is None:
+            return "expected a quadratic coefficient"
+        if m["wsign"] is not None and m["b"] is None and m["w2"] is None:
+            return "expected the w-part of the coefficient"
+        if m["b"] is not None and m["bw"] is None:
+            return "expected 'w'"
+        if m["rb"] is None:
+            return "expected ']'"
+    elif m["num"] is None and m["x"] is None:
+        return "expected a term"
+    if m["star"] is not None and m["x"] is None:
+        return "expected 'x' after '*'"
+    return "expected a nonnegative integer exponent"
 
 
 def parse_poly(text: str, ring: CoefficientRing = ZZ) -> Poly:
     """Parse polynomial text over the given coefficient ring."""
-    parser = _Parser(_tokenize(text))
+    _check_tokens(text)
     quad = isinstance(ring, QuadRing)
-    terms: dict[int, object] = {}
-    first = True
-    while True:
-        token = parser.peek()
-        if token.kind == "end":
-            if first:
-                raise PolyParseError("empty polynomial", token.pos)
-            break
-        sign = 1
-        if token.kind in "+-":
-            parser.take()
-            sign = -1 if token.kind == "-" else 1
-        elif not first:
-            raise PolyParseError("expected '+' or '-' between terms", token.pos)
-        coeff, power = _parse_term(parser, ring, quad)
-        current = terms.get(power, ring.zero)
-        terms[power] = current + coeff * sign
-        first = False
-    size = max(terms) + 1
-    return Poly([terms.get(i, ring.zero) for i in range(size)], ring)
-
-
-def _parse_term(parser: _Parser, ring: CoefficientRing, quad: bool):
-    token = parser.peek()
-    if token.kind == "[":
-        if not quad:
-            raise PolyParseError("bracketed coefficients need a quadratic ring", token.pos)
-        coeff = _parse_bracket(parser, ring)
-        has_coeff = True
-    elif token.kind == "int":
-        parser.take()
-        coeff = ring.coerce(token.value)
-        has_coeff = True
-    elif token.kind == "x":
-        coeff = ring.one
-        has_coeff = False
-    else:
-        raise PolyParseError("expected a term", token.pos)
-    if has_coeff and parser.peek().kind == "*":
-        parser.take()
-        if parser.peek().kind != "x":
-            raise PolyParseError("expected 'x' after '*'", parser.peek().pos)
-    power = 0
-    if parser.peek().kind == "x":
-        parser.take()
-        power = 1
-        if parser.peek().kind == "^":
-            parser.take()
-            power = parser.expect("int", "a nonnegative integer exponent").value
-    return coeff, power
-
-
-def _parse_bracket(parser: _Parser, ring: QuadRing):
-    parser.expect("[", "'['")
-    sign = 1
-    a = 0
-    b = 0
-    token = parser.peek()
-    if token.kind in "+-":
-        parser.take()
-        sign = -1 if token.kind == "-" else 1
-        token = parser.peek()
-    if token.kind == "int":
-        parser.take()
-        if parser.peek().kind == "w":
-            parser.take()
-            b = sign * token.value
+    end = len(text)
+    pos = start = end - len(text.lstrip())
+    if pos == end:
+        raise PolyParseError("empty polynomial", end)
+    a_parts: dict[int, int] = {}
+    b_parts: dict[int, int] = {}
+    while pos < end:
+        m = _TERM.match(text, pos)
+        sign, num, lb, bsign, a, aw, wsign, b, bw, w2, w1, rb, star, x, caret, exp = m.groups()
+        if sign is None and pos != start:
+            raise PolyParseError("expected '+' or '-' between terms", pos)
+        if lb is not None and not quad:
+            raise PolyParseError("bracketed coefficients need a quadratic ring", m.start("lb"))
+        pos = m.end()
+        # A bracket, "*" or "^" left unfinished, or no term at all.
+        if (
+            (rb is None if lb is not None else num is None and x is None)
+            or (star is not None and x is None)
+            or (caret is not None and exp is None)
+        ):
+            raise PolyParseError(_term_error(m), pos)
+        if lb is not None:
+            s = -1 if bsign == "-" else 1
+            if w1 is not None:
+                ca, cb = 0, s
+            elif aw is not None:
+                ca, cb = 0, s * int(a)
+            else:
+                ca = s * int(a)
+                cb = 0 if wsign is None else (-1 if wsign == "-" else 1) * (int(b) if b else 1)
         else:
-            a = sign * token.value
-            nxt = parser.peek()
-            if nxt.kind in "+-":
-                parser.take()
-                wsign = -1 if nxt.kind == "-" else 1
-                part = parser.peek()
-                if part.kind == "int":
-                    parser.take()
-                    parser.expect("w", "'w'")
-                    b = wsign * part.value
-                elif part.kind == "w":
-                    parser.take()
-                    b = wsign
-                else:
-                    raise PolyParseError("expected the w-part of the coefficient", part.pos)
-    elif token.kind == "w":
-        parser.take()
-        b = sign
+            ca, cb = (int(num) if num else 1), 0
+        if sign == "-":
+            ca, cb = -ca, -cb
+        power = int(exp) if exp else (1 if x else 0)
+        a_parts[power] = a_parts.get(power, 0) + ca
+        if cb:
+            b_parts[power] = b_parts.get(power, 0) + cb
+    coeffs = [ring.zero] * (max(a_parts) + 1)
+    if quad:
+        for power, ca in a_parts.items():
+            coeffs[power] = QuadInt(ca, b_parts.get(power, 0), ring)
     else:
-        raise PolyParseError("expected a quadratic coefficient", token.pos)
-    parser.expect("]", "']'")
-    return ring.element(a, b)
+        for power, ca in a_parts.items():
+            coeffs[power] = ca
+    return Poly._trusted(coeffs, ring)

@@ -6,11 +6,11 @@ None. All arithmetic is exact and stays inside the coefficient ring.
 
 Coefficients are validated once, where they enter: `Poly(...)` and the
 `zero`, `one`, `x`, `constant` and `monomial` constructors coerce every
-coefficient into the ring (as `parse_poly` does through them), and a scalar
-multiplier is coerced once per product. Arithmetic trusts its own outputs:
-sums, products, quotients and the other results built here from coefficients
-already in the ring go through `Poly._trusted`, which only strips trailing
-zeros.
+coefficient into the ring, and a scalar multiplier is coerced once per
+product. Arithmetic trusts its own outputs: sums, products, quotients and the
+other results built here from coefficients already in the ring go through
+`Poly._trusted`, which only strips trailing zeros. So does `parse_poly`,
+which builds its ints and QuadInts from the text itself.
 """
 
 from __future__ import annotations
@@ -139,7 +139,18 @@ class Poly:
     __rmul__ = __mul__
 
     def evaluate(self, point) -> Element:
-        """Horner evaluation at a point coerced into the coefficient ring."""
+        """Horner evaluation at a point coerced into the coefficient ring.
+
+        At a plain int over Z[w], the a- and b-coordinates each take one
+        Horner pass on plain ints, since (a + b*w)*k + c = (a*k + c.a) +
+        (b*k + c.b)*w; one QuadInt is built at the end.
+        """
+        if isinstance(self.ring, QuadRing) and isinstance(point, int):
+            a = b = 0
+            for c in reversed(self.coeffs):
+                a = a * point + c.a
+                b = b * point + c.b
+            return QuadInt(a, b, self.ring)
         point = self.ring.coerce(point)
         acc = self.ring.zero
         for c in reversed(self.coeffs):

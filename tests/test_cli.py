@@ -5,7 +5,7 @@ import json
 import pytest
 
 from dringkit import cli, lab
-from dringkit.cli import CHEB_N_CAP, SF_LIMIT_CAP, ZWDEMO_TRIALS_CAP, main
+from dringkit.cli import CHEB_N_CAP, SAMPLE_POINT_CAP, SF_LIMIT_CAP, ZWDEMO_TRIALS_CAP, main
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
 
 
@@ -165,6 +165,39 @@ def test_evalcheck_window_validation(capsys):
     code, _, err = run(capsys, "evalcheck", "x", "x", "--from", "5", "--to", "1")
     assert code == 2
     assert "--from" in err
+
+
+CAP = str(SAMPLE_POINT_CAP)
+OVER = str(SAMPLE_POINT_CAP + 1)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["evalcheck", "x^4+3x+1", "x+1", "--from", "-" + CAP, "--to", CAP], 1),
+    (["transfer", "x^2+1", "x-[0+1w]", "--ring", "Q(sqrt -1)", "--from", "-" + CAP, "--to", CAP], 0),
+    (["cheb", "--n", "3", "--certify", "--from", "-" + CAP, "--to", CAP], 0),
+    (["divides", "x^2+1", "x^2+x+1", "--bound", CAP], 1),
+], ids=["evalcheck", "transfer", "cheb", "divides"])
+def test_sample_points_at_the_cap_run(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["evalcheck", "x", "x+1", "--from", "-" + OVER], "--from"),
+    (["evalcheck", "x", "x+1", "--to", OVER], "--to"),
+    (["transfer", "x", "x+1", "--ring", "Q(sqrt -1)", "--from", "-" + OVER], "--from"),
+    (["transfer", "x", "x+1", "--ring", "Q(sqrt -1)", "--to", OVER], "--to"),
+    (["cheb", "--n", "3", "--certify", "--from", "-" + OVER], "--from"),
+    (["cheb", "--n", "3", "--certify", "--to", OVER], "--to"),
+    (["divides", "x^2+1", "x+1", "--bound", OVER], "--bound"),
+    (["divides", "x^2+1", "x+1", "--bound", "-" + OVER], "--bound"),
+])
+def test_sample_points_over_the_cap_are_usage_errors(capsys, monkeypatch, argv, option):
+    for name in ("eval_divisibility", "norm_transfer_check", "cheb_certify", "certify_divisibility"):
+        monkeypatch.setattr(cli, name, None)  # must not be reached
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: |{option}| must not exceed {SAMPLE_POINT_CAP}\n"
 
 
 # --- sf -------------------------------------------------------------------------
@@ -341,6 +374,13 @@ def test_parse_errors_are_diagnosed_on_stderr(capsys):
     assert code == 2
     assert out == ""
     assert "position" in err
+
+
+def test_non_ascii_digits_are_diagnosed_with_their_position(capsys):
+    code, out, err = run(capsys, "divides", "x²+1", "x+1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected character '²' (at position 1)\n"
 
 
 def test_text_and_json_agree_on_the_verdict(capsys):

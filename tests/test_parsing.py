@@ -1,8 +1,11 @@
 """Polynomial text grammar, ring specs, and print/parse round trips."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dringkit import (
     Poly,
@@ -14,7 +17,7 @@ from dringkit import (
     parse_ring,
 )
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
-from helpers import TEST_QUAD_DS, rand_poly
+from helpers import TEST_QUAD_DS, parse_poly_reference, rand_poly
 
 GAUSS = QuadRing(-1)
 
@@ -36,6 +39,8 @@ def test_parse_ring_rejects_everything_else():
         parse_ring("Q(sqrt 4)")
     with pytest.raises(UnsupportedRingError):
         parse_ring("GF(7)")
+    with pytest.raises(UnsupportedRingError):
+        parse_ring("Q(sqrt -١)")  # ASCII digits only
 
 
 # --- basic grammar ----------------------------------------------------------
@@ -114,6 +119,31 @@ def test_float_rejected_at_the_dot():
     assert excinfo.value.position == 1
 
 
+@pytest.mark.parametrize("text, position", [("x²+1", 1), ("٣x+1", 0), ("x^²", 2)])
+def test_non_ascii_digits_are_unexpected_characters(text, position):
+    with pytest.raises(PolyParseError, match="unexpected character") as excinfo:
+        parse_poly(text)
+    assert excinfo.value.position == position
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("*x", "expected a term", 0),
+    ("x*2", "expected '+' or '-' between terms", 1),
+    ("2 * + x", "expected 'x' after '*'", 4),
+    ("x ^ + 1", "expected a nonnegative integer exponent", 4),
+    ("x + [ ]", "expected a quadratic coefficient", 6),
+    ("x + [1 + ]", "expected the w-part of the coefficient", 9),
+    ("x + [1 + 2 ]", "expected 'w'", 11),
+    ("x + [2w + 1]", "expected ']'", 8),
+    ("[w] [w]", "expected '+' or '-' between terms", 4),
+    ("x ^ 2 - [w", "expected ']'", 10),
+])
+def test_structural_errors_name_the_first_token_that_does_not_fit(text, message, position):
+    with pytest.raises(PolyParseError) as excinfo:
+        parse_poly(text, GAUSS)
+    assert str(excinfo.value) == f"{message} (at position {position})"
+
+
 # --- parse-time caps --------------------------------------------------------
 
 
@@ -178,3 +208,112 @@ def test_round_trip_over_quadratic_rings(d):
     for _ in range(1000):
         p = rand_poly(rng, ring, min_deg=0, max_deg=9, bound=10**4)
         assert parse_poly(str(p), ring) == p
+
+
+# --- the reference parser -------------------------------------------------------
+#
+# tests/helpers.py keeps the tokenizer and recursive-descent parser that the
+# one-regex parser replaced; both must agree on every text, including which
+# error is reported and where.
+
+PARSE_RINGS = (ZZ, QuadRing(-1), QuadRing(5))
+SPACE = st.sampled_from(["", "", " ", "\t", "  ", " \t "])
+DIGITS = st.integers(0, 10**6).map(str) | st.sampled_from(["0", "007", "1" * 40])
+
+
+def _outcome(parse, text, ring):
+    try:
+        p = parse(text, ring)
+    except PolyParseError as exc:
+        return "error", str(exc), exc.position
+    return "poly", p.ring, tuple((type(c), c) for c in p.coeffs)
+
+
+@st.composite
+def bracket_texts(draw):
+    ws = lambda: draw(SPACE)  # noqa: E731
+    sign = lambda: draw(st.sampled_from(["", "+", "-"]))  # noqa: E731
+    first = draw(st.sampled_from(["a", "bw", "w", "a+bw", "a+w"]))
+    parts = ["[", ws(), sign(), ws()]
+    if first == "w":
+        parts.append("w")
+    else:
+        parts += [draw(DIGITS), ws()]
+        if first == "bw":
+            parts.append("w")
+        elif first != "a":
+            parts += [draw(st.sampled_from(["+", "-"])), ws()]
+            parts += [draw(DIGITS), ws(), "w"] if first == "a+bw" else ["w"]
+    parts += [ws(), "]"]
+    return "".join(parts)
+
+
+@st.composite
+def well_formed_texts(draw, ring):
+    ws = lambda: draw(SPACE)  # noqa: E731
+    coefficients = DIGITS if ring == ZZ else DIGITS | bracket_texts()
+    out = [ws()]
+    for i in range(draw(st.integers(1, 6))):
+        if i:
+            out += [draw(st.sampled_from(["+", "-"])), ws()]
+        else:
+            out += [draw(st.sampled_from(["", "+", "-"])), ws()]
+        coeff = draw(st.none() | coefficients)
+        power = draw(st.sampled_from([None, 0, 1, 2, 3, 12]))
+        if coeff is not None:
+            out += [coeff, ws()]
+        if power is not None or coeff is None:
+            if coeff is not None and draw(st.booleans()):
+                out += ["*", ws()]
+            out += ["x", ws()]
+            if power is not None and (power != 1 or draw(st.booleans())):
+                out += ["^", ws(), str(power), ws()]
+    return "".join(out)
+
+
+@pytest.mark.parametrize("ring", PARSE_RINGS, ids=str)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_well_formed_texts_match_the_reference_parser(ring, data):
+    text = data.draw(well_formed_texts(ring))
+    expected = _outcome(parse_poly_reference, text, ring)
+    assert expected[0] == "poly"
+    assert _outcome(parse_poly, text, ring) == expected
+
+
+@pytest.mark.parametrize("ring", PARSE_RINGS, ids=str)
+@settings(max_examples=1000, deadline=None)
+@given(text=st.text(alphabet="0123456789 +-*^[]xw.\t", max_size=24))
+def test_arbitrary_texts_match_the_reference_parser(ring, text):
+    assert _outcome(parse_poly, text, ring) == _outcome(parse_poly_reference, text, ring)
+
+
+# --- linear time on long whitespace runs --------------------------------------------
+#
+# A term pattern with \s* on both sides of an optional piece backtracks
+# quadratically over a whitespace run; 10^5 characters in any slot must
+# still take well under a second, whether the text parses or not.
+
+RUN = " \t" * (10**5 // 2)
+SLOTS = {
+    "after a sign": ("-{}x", "-{}"),
+    "after [": ("[{}1+2w]x", "[{}x"),
+    "before + in brackets": ("[1{}+2w]", "[1{}+]"),
+    "after + in brackets": ("[1+{}2w]", "[1+{}2]"),
+    "before - in brackets": ("[1{}-w]", "[1{}-x]"),
+    "after - in brackets": ("[1-{}w]", "[1-{}]"),
+    "between x and ^": ("x{}^2", "x{}^"),
+    "before ]": ("[1+2w{}]x", "[1+2w{}x"),
+}
+
+
+@pytest.mark.parametrize("template", [t for pair in SLOTS.values() for t in pair],
+                         ids=[f"{slot}-{kind}" for slot in SLOTS for kind in ("parses", "fails")])
+def test_long_whitespace_runs_take_linear_time(template):
+    text = template.format(RUN)
+    start = time.perf_counter()
+    try:
+        parse_poly(text, GAUSS)
+    except PolyParseError:
+        pass
+    assert time.perf_counter() - start < 1.0

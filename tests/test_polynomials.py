@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dringkit import (
     Poly,
+    QuadInt,
     QuadRing,
     RingMismatchError,
     ZZ,
@@ -19,7 +20,7 @@ from dringkit import (
     pseudo_divide,
     ZeroPolynomialError,
 )
-from helpers import TEST_QUAD_DS, rand_poly, rand_primitive
+from helpers import TEST_QUAD_DS, evaluate_reference, rand_poly, rand_primitive
 
 GAUSS = QuadRing(-1)
 
@@ -99,6 +100,48 @@ def test_evaluate_at_zero_gives_constant_term():
 def test_evaluate_over_quadratic_ring():
     p = Poly((GAUSS.element(1, 1), GAUSS.element(0, 1)), GAUSS)  # (w)x + (1+w)
     assert p.evaluate(2) == GAUSS.element(1, 3)
+
+
+# Poly.evaluate runs one Horner pass per coordinate at a plain int over Z[w];
+# helpers.evaluate_reference is Horner's rule on whole QuadInts.
+EVAL_DS = (-1, -3, -7, -11, 2, 3, 5, 73)
+coordinates = st.integers(-10**30, 10**30)
+
+
+@st.composite
+def quad_polys(draw):
+    """Zero, or degree 0-20 with coordinates up to 10^30 in absolute value."""
+    ring = QuadRing(draw(st.sampled_from(EVAL_DS)))
+    size = draw(st.integers(0, 21))
+    pairs = draw(st.lists(st.tuples(coordinates, coordinates), min_size=size, max_size=size))
+    return Poly([ring.element(a, b) for a, b in pairs], ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=quad_polys(), k=st.just(0) | st.integers(-10**6, 10**6))
+def test_evaluation_at_an_int_matches_the_reference(p, k):
+    value = p.evaluate(k)
+    expected = evaluate_reference(p, k)
+    assert type(value) is QuadInt and value.ring == p.ring
+    assert (value.a, value.b) == (expected.a, expected.b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=quad_polys(), ab=st.sampled_from([(0, 1), (1, 1), (-2, 3)]))
+def test_evaluation_at_a_ring_element_matches_the_reference(p, ab):
+    point = p.ring.element(*ab)  # w, 1 + w, -2 + 3w
+    value = p.evaluate(point)
+    expected = evaluate_reference(p, point)
+    assert value.ring == p.ring
+    assert (value.a, value.b) == (expected.a, expected.b)
+
+
+def test_evaluation_at_a_point_of_another_ring_is_refused():
+    p = Poly((GAUSS.element(1, 1), GAUSS.one), GAUSS)
+    with pytest.raises(RingMismatchError):
+        p.evaluate(QuadRing(5).omega)
+    with pytest.raises(RingMismatchError):
+        Poly((1, 1)).evaluate(GAUSS.omega)
 
 
 # --- content and primitive part -------------------------------------------
