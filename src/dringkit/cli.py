@@ -1,10 +1,10 @@
 """Command-line front end: one subcommand per library operation.
 
-All inputs arrive as arguments (stdin is never read). Output is
-human-readable text, or a single JSON document with --json; both carry the
-same information. In JSON, every integer is a decimal string so that
-arbitrary-precision values never pass through floating point, and keys are
-emitted sorted. Exit codes: 0 affirmative/success, 1 negative verdict,
+All inputs arrive as arguments (stdin is never read). Each subcommand
+builds one payload, printed as a single JSON document with --json; its
+human-readable text is read from that payload. In JSON, every integer is a
+decimal string so that arbitrary-precision values never pass through
+floating point, and keys are emitted sorted. Exit codes: 0 affirmative/success, 1 negative verdict,
 2 usage or computation error, including running out of memory or recursion
 depth.
 """
@@ -42,333 +42,264 @@ ZWDEMO_TRIALS_CAP = 500_000
 SAMPLE_POINT_CAP = 1000
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _check_point_cap(option: str, value: int) -> None:
     if abs(value) > SAMPLE_POINT_CAP:
         raise ArgumentCapError(f"|{option}| must not exceed {SAMPLE_POINT_CAP}")
 
 
-def _sample_range(args) -> range:
+def _sample_window(args) -> tuple[range, dict]:
+    """The checked sample points and their echo: from, to and the window note."""
     _check_point_cap("--from", args.lo)
     _check_point_cap("--to", args.hi)
     if args.lo > args.hi:
         raise ValueError("--from must not exceed --to")
-    return range(args.lo, args.hi + 1)
+    echo = {"from": _decimal(args.lo), "to": _decimal(args.hi), "note": SAMPLE_WINDOW_NOTE}
+    return range(args.lo, args.hi + 1), echo
 
 
-def _require_quad(ring) -> QuadRing:
-    if not isinstance(ring, QuadRing):
+def _operands(args, *names: str, quad: bool = False) -> tuple:
+    """Parse --ring and the named operands; return the ring, each polynomial,
+    and the payload that echoes the command, the ring and the operands."""
+    ring = parse_ring(args.ring)
+    if quad and not isinstance(ring, QuadRing):
         raise UnsupportedRingError('this subcommand needs --ring "Q(sqrt d)"')
-    return ring
+    polys = [parse_poly(getattr(args, name), ring) for name in names]
+    payload = {"command": args.command, "ring": str(ring)}
+    payload.update(zip(names, map(str, polys)))
+    return (ring, *polys, payload)
 
 
-def _eval_report_payload(report, ring) -> dict:
+def _certificate(cert) -> dict:
     return {
+        "verdict": cert.verdict,
+        "quotient": None if cert.quotient is None else str(cert.quotient),
+        "witness": None if cert.witness is None else _decimal(cert.witness),
+    }
+
+
+def _eval_report(report, ring) -> tuple[dict, list[str]]:
+    failures = [
+        {
+            "point": _decimal(point),
+            "divisor_value": ring.format(gval),
+            "dividend_value": ring.format(fval),
+        }
+        for point, gval, fval in report.failures
+    ]
+    payload = {
         "checked": _decimal(report.checked),
         "vacuous": _decimal(report.vacuous),
         "divisible": _decimal(report.divisible),
-        "failures": [
-            {
-                "point": _decimal(point),
-                "divisor_value": ring.format(gval),
-                "dividend_value": ring.format(fval),
-            }
-            for point, gval, fval in report.failures
-        ],
+        "failures": failures,
         "verdict": report.verdict,
     }
-
-
-def _eval_report_lines(report, ring) -> list[str]:
     lines = [
-        f"checked: {report.checked}  vacuous: {report.vacuous}  "
-        f"divisible: {report.divisible}  failures: {len(report.failures)}",
+        f"checked: {payload['checked']}  vacuous: {payload['vacuous']}  "
+        f"divisible: {payload['divisible']}  failures: {len(failures)}",
     ]
-    for point, gval, fval in report.failures:
+    for failure in failures:
         lines.append(
-            f"failure at k = {point}: g(k) = {ring.format(gval)} "
-            f"does not divide f(k) = {ring.format(fval)}"
+            f"failure at k = {failure['point']}: g(k) = {failure['divisor_value']} "
+            f"does not divide f(k) = {failure['dividend_value']}"
         )
     lines.append(f"verdict: {report.verdict}")
-    return lines
+    return payload, lines
 
 
-def _cmd_divides(args) -> int:
+def _cmd_divides(args) -> tuple[dict, list[str], bool]:
     _check_point_cap("--bound", args.bound)
-    ring = parse_ring(args.ring)
-    f = parse_poly(args.f, ring)
-    g = parse_poly(args.g, ring)
-    payload = {
-        "command": "divides",
-        "ring": str(ring),
-        "f": str(f),
-        "g": str(g),
-        "bound": _decimal(args.bound),
-    }
+    ring, f, g, payload = _operands(args, "f", "g")
+    payload["bound"] = _decimal(args.bound)
     lines = []
     if args.primitive_part:
         cont, g = primitive_part(g)
         payload["divisor_content"] = ring.format(cont)
         payload["divisor_primitive_part"] = str(g)
         lines.append(
-            f"divisor replaced by its primitive part {g} (content {ring.format(cont)})"
+            f"divisor replaced by its primitive part {payload['divisor_primitive_part']} "
+            f"(content {payload['divisor_content']})"
         )
     cert = certify_divisibility(f, g, search_bound=args.bound)
-    payload["verdict"] = cert.verdict
-    payload["quotient"] = str(cert.quotient) if cert.quotient is not None else None
+    payload.update(_certificate(cert))
     lines.append(f"verdict: {cert.verdict}")
-    if cert.quotient is not None:
-        lines.append(f"quotient: {cert.quotient}")
+    if payload["quotient"] is not None:
+        lines.append(f"quotient: {payload['quotient']}")
     if cert.witness is not None:
-        gval = g.evaluate(cert.witness)
-        fval = f.evaluate(cert.witness)
-        payload["witness"] = _decimal(cert.witness)
-        payload["witness_divisor_value"] = ring.format(gval)
-        payload["witness_dividend_value"] = ring.format(fval)
+        payload["witness_divisor_value"] = ring.format(g.evaluate(cert.witness))
+        payload["witness_dividend_value"] = ring.format(f.evaluate(cert.witness))
         lines.append(
-            f"witness: k = {cert.witness} with g(k) = {ring.format(gval)} "
-            f"not dividing f(k) = {ring.format(fval)}"
+            f"witness: k = {payload['witness']} "
+            f"with g(k) = {payload['witness_divisor_value']} "
+            f"not dividing f(k) = {payload['witness_dividend_value']}"
         )
-    else:
-        payload["witness"] = None
-        if cert.verdict == "NOT_DIVIDES":
-            lines.append(
-                f"no witness found with |k| <= {args.bound}; one exists somewhere in Z"
-            )
-    _emit(args, payload, lines)
-    return 0 if cert.verdict == "DIVIDES" else 1
+    elif cert.verdict == "NOT_DIVIDES":
+        lines.append(
+            f"no witness found with |k| <= {payload['bound']}; one exists somewhere in Z"
+        )
+    return payload, lines, cert.verdict == "DIVIDES"
 
 
-def _cmd_pseudodiv(args) -> int:
-    ring = parse_ring(args.ring)
-    f = parse_poly(args.f, ring)
-    g = parse_poly(args.g, ring)
+def _cmd_pseudodiv(args) -> tuple[dict, list[str], bool]:
+    ring, f, g, payload = _operands(args, "f", "g")
     result = pseudo_divide(f, g)
-    payload = {
-        "command": "pseudodiv",
-        "ring": str(ring),
-        "f": str(f),
-        "g": str(g),
-        "multiplier": ring.format(result.multiplier),
-        "power": _decimal(result.s),
-        "quotient": str(result.quotient),
-        "remainder": str(result.remainder),
-    }
+    payload["multiplier"] = ring.format(result.multiplier)
+    payload["power"] = _decimal(result.s)
+    payload["quotient"] = str(result.quotient)
+    payload["remainder"] = str(result.remainder)
     lines = [
-        f"multiplier: {ring.format(result.multiplier)} "
-        f"(leading coefficient to the power {result.s})",
-        f"quotient: {result.quotient}",
-        f"remainder: {result.remainder}",
+        f"multiplier: {payload['multiplier']} "
+        f"(leading coefficient to the power {payload['power']})",
+        f"quotient: {payload['quotient']}",
+        f"remainder: {payload['remainder']}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def _cmd_content(args) -> int:
-    ring = parse_ring(args.ring)
-    p = parse_poly(args.p, ring)
+def _cmd_content(args) -> tuple[dict, list[str], bool]:
+    ring, p, payload = _operands(args, "p")
     cont, prim = primitive_part(p)
-    payload = {
-        "command": "content",
-        "ring": str(ring),
-        "p": str(p),
-        "content": ring.format(cont),
-        "primitive_part": str(prim),
-    }
-    lines = [f"content: {ring.format(cont)}", f"primitive part: {prim}"]
-    _emit(args, payload, lines)
-    return 0
+    payload["content"] = ring.format(cont)
+    payload["primitive_part"] = str(prim)
+    lines = [f"content: {payload['content']}", f"primitive part: {payload['primitive_part']}"]
+    return payload, lines, True
 
 
-def _cmd_normpoly(args) -> int:
-    ring = _require_quad(parse_ring(args.ring))
-    p = parse_poly(args.p, ring)
-    conjugate = conjugate_poly(p)
-    norm = norm_poly(p)
-    payload = {
-        "command": "normpoly",
-        "ring": str(ring),
-        "p": str(p),
-        "conjugate": str(conjugate),
-        "norm": str(norm),
-    }
-    lines = [f"conjugate: {conjugate}", f"norm: {norm}"]
-    _emit(args, payload, lines)
-    return 0
+def _cmd_normpoly(args) -> tuple[dict, list[str], bool]:
+    _, p, payload = _operands(args, "p", quad=True)
+    payload["conjugate"] = str(conjugate_poly(p))
+    payload["norm"] = str(norm_poly(p))
+    lines = [f"conjugate: {payload['conjugate']}", f"norm: {payload['norm']}"]
+    return payload, lines, True
 
 
-def _cmd_evalcheck(args) -> int:
-    samples = _sample_range(args)
-    ring = parse_ring(args.ring)
-    f = parse_poly(args.f, ring)
-    g = parse_poly(args.g, ring)
-    report = eval_divisibility(f, g, samples)
-    payload = {
-        "command": "evalcheck",
-        "ring": str(ring),
-        "f": str(f),
-        "g": str(g),
-        "from": _decimal(args.lo),
-        "to": _decimal(args.hi),
-        "note": SAMPLE_WINDOW_NOTE,
-        **_eval_report_payload(report, ring),
-    }
-    lines = [f"samples: k = {args.lo}..{args.hi} ({SAMPLE_WINDOW_NOTE})"]
-    lines.extend(_eval_report_lines(report, ring))
-    _emit(args, payload, lines)
-    return 0 if report.verdict == "ALL_DIVIDE" else 1
+def _cmd_evalcheck(args) -> tuple[dict, list[str], bool]:
+    samples, window = _sample_window(args)
+    ring, f, g, payload = _operands(args, "f", "g")
+    report, report_lines = _eval_report(eval_divisibility(f, g, samples), ring)
+    payload.update(window, **report)
+    lines = [
+        f"samples: k = {window['from']}..{window['to']} ({window['note']})",
+        *report_lines,
+    ]
+    return payload, lines, report["verdict"] == "ALL_DIVIDE"
 
 
-def _cmd_sf(args) -> int:
+def _cmd_sf(args) -> tuple[dict, list[str], bool]:
     if args.limit > SF_LIMIT_CAP:
         raise ArgumentCapError(f"--limit must not exceed {SF_LIMIT_CAP}")
     f = parse_poly(args.f)
-    records = sf_search(f, args.limit)
+    records = [
+        {"prime": _decimal(r.prime), "root": _decimal(r.root)}
+        for r in sf_search(f, args.limit)
+    ]
     payload = {
         "command": "sf",
         "f": str(f),
         "limit": _decimal(args.limit),
         "count": _decimal(len(records)),
-        "records": [
-            {"prime": _decimal(r.prime), "root": _decimal(r.root)} for r in records
-        ],
+        "records": records,
     }
-    lines = [f"primes p <= {args.limit} at which {f} has a root mod p: {len(records)}"]
+    lines = [
+        f"primes p <= {payload['limit']} at which {payload['f']} has a root mod p: "
+        f"{payload['count']}"
+    ]
     for record in records:
-        lines.append(f"p = {record.prime}: root {record.root}")
-    _emit(args, payload, lines)
-    return 0 if records else 1
+        lines.append(f"p = {record['prime']}: root {record['root']}")
+    return payload, lines, bool(records)
 
 
-def _cmd_cheb(args) -> int:
+def _cmd_cheb(args) -> tuple[dict, list[str], bool]:
     if args.n > CHEB_N_CAP:
         raise ArgumentCapError(f"--n must not exceed {CHEB_N_CAP}")
-    if args.certify:
-        if args.n < 1:
-            raise ValueError("--certify needs --n at least 1")
-        report = cheb_certify(args.n, _sample_range(args))
-        cert = report.certificate
-        payload = {
-            "command": "cheb",
-            "n": _decimal(args.n),
-            "from": _decimal(args.lo),
-            "to": _decimal(args.hi),
-            "note": SAMPLE_WINDOW_NOTE,
-            "evaluation": _eval_report_payload(report.evaluation, ZZ),
-            "certificate": {
-                "verdict": cert.verdict,
-                "quotient": str(cert.quotient) if cert.quotient is not None else None,
-                "witness": _decimal(cert.witness) if cert.witness is not None else None,
-            },
-            "passed": report.passed,
-        }
-        lines = [
-            f"evaluation phase over k = {args.lo}..{args.hi}:",
-            *_eval_report_lines(report.evaluation, ZZ),
-            f"polynomial phase: {cert.verdict}",
-        ]
-        if cert.quotient is not None:
-            lines.append(f"quotient: {cert.quotient}")
-        lines.append(f"passed: {report.passed}")
-        _emit(args, payload, lines)
-        return 0 if report.passed else 1
-    pair = deque(_cheb_pairs(args.n), maxlen=1).pop()
-    payload = {
-        "command": "cheb",
-        "n": _decimal(args.n),
-        "p": str(pair.p),
-        "q": str(pair.q),
-    }
-    lines = [f"p_{args.n} = {pair.p}", f"q_{args.n} = {pair.q}"]
-    _emit(args, payload, lines)
-    return 0
+    if args.certify and args.n < 1:
+        raise ValueError("--certify needs --n at least 1")
+    samples, window = _sample_window(args)
+    payload = {"command": "cheb", "n": _decimal(args.n)}
+    if not args.certify:
+        pair = deque(_cheb_pairs(args.n), maxlen=1).pop()
+        payload["p"] = str(pair.p)
+        payload["q"] = str(pair.q)
+        lines = [f"p_{payload['n']} = {payload['p']}", f"q_{payload['n']} = {payload['q']}"]
+        return payload, lines, True
+    report = cheb_certify(args.n, samples)
+    evaluation, evaluation_lines = _eval_report(report.evaluation, ZZ)
+    cert = _certificate(report.certificate)
+    payload.update(window, evaluation=evaluation, certificate=cert, passed=report.passed)
+    lines = [
+        f"evaluation phase over k = {window['from']}..{window['to']}:",
+        *evaluation_lines,
+        f"polynomial phase: {cert['verdict']}",
+    ]
+    if cert["quotient"] is not None:
+        lines.append(f"quotient: {cert['quotient']}")
+    lines.append(f"passed: {report.passed}")
+    return payload, lines, report.passed
 
 
-def _cmd_zwdemo(args) -> int:
+def _cmd_zwdemo(args) -> tuple[dict, list[str], bool]:
     if args.trials > ZWDEMO_TRIALS_CAP:
         raise ArgumentCapError(f"--trials must not exceed {ZWDEMO_TRIALS_CAP}")
-    if args.seed is not None:
-        seed = args.seed
-    elif SEED_ENV_VAR in os.environ:
-        seed = int(os.environ[SEED_ENV_VAR])
-    else:
-        seed = DEFAULT_DEMO_SEED
+    seed = args.seed
+    if seed is None:
+        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_DEMO_SEED))
     report = zw_unit_demo(args.trials, seed)
+    failures = [
+        {"argument": str(argument), "value": str(value)} for argument, value in report.failures
+    ]
     payload = {
         "command": "zwdemo",
         "trials": _decimal(report.trials),
         "seed": _decimal(report.seed),
         "passes": _decimal(report.passes),
-        "failures": [
-            {"argument": str(argument), "value": str(value)}
-            for argument, value in report.failures
-        ],
+        "failures": failures,
     }
     lines = [
-        f"trials: {report.trials}  passes: {report.passes}  "
-        f"failures: {len(report.failures)}  (seed {report.seed})"
+        f"trials: {payload['trials']}  passes: {payload['passes']}  "
+        f"failures: {len(failures)}  (seed {payload['seed']})"
     ]
-    for argument, value in report.failures:
+    for failure in failures:
         lines.append(
-            f"COUNTEREXAMPLE: ({argument})^2 + 1 = {value} is not a unit"
+            f"COUNTEREXAMPLE: ({failure['argument']})^2 + 1 = {failure['value']} "
+            "is not a unit"
         )
-    _emit(args, payload, lines)
-    return 0 if report.all_units else 1
+    return payload, lines, report.all_units
 
 
-def _cmd_transfer(args) -> int:
-    samples = _sample_range(args)
-    ring = _require_quad(parse_ring(args.ring))
-    f = parse_poly(args.f, ring)
-    g = parse_poly(args.g, ring)
+def _cmd_transfer(args) -> tuple[dict, list[str], bool]:
+    samples, window = _sample_window(args)
+    ring, f, g, payload = _operands(args, "f", "g", quad=True)
     report = norm_transfer_check(f, g, samples)
-    payload = {
-        "command": "transfer",
-        "ring": str(ring),
-        "f": str(f),
-        "g": str(g),
-        "from": _decimal(args.lo),
-        "to": _decimal(args.hi),
-        "note": SAMPLE_WINDOW_NOTE,
-        "norm_f": str(report.dividend_norm_poly),
-        "norm_g": str(report.divisor_norm_poly),
-        "samples": [
-            {
-                "point": _decimal(s.point),
-                "divisor_value": ring.format(s.divisor_value),
-                "dividend_value": ring.format(s.dividend_value),
-                "divisor_norm": _decimal(s.divisor_norm),
-                "dividend_norm": _decimal(s.dividend_norm),
-                "element_divides": s.element_divides,
-                "norm_divides": s.norm_divides,
-                "status": s.status,
-            }
-            for s in report.samples
-        ],
-        "verdict": report.verdict,
-    }
-    lines = [
-        f"norm of f: {report.dividend_norm_poly}",
-        f"norm of g: {report.divisor_norm_poly}",
-        f"samples: b = {args.lo}..{args.hi} ({SAMPLE_WINDOW_NOTE})",
+    rows = [
+        {
+            "point": _decimal(s.point),
+            "divisor_value": ring.format(s.divisor_value),
+            "dividend_value": ring.format(s.dividend_value),
+            "divisor_norm": _decimal(s.divisor_norm),
+            "dividend_norm": _decimal(s.dividend_norm),
+            "element_divides": s.element_divides,
+            "norm_divides": s.norm_divides,
+            "status": s.status,
+        }
+        for s in report.samples
     ]
-    for s in report.samples:
+    payload.update(window, samples=rows, verdict=report.verdict)
+    payload["norm_f"] = str(report.dividend_norm_poly)
+    payload["norm_g"] = str(report.divisor_norm_poly)
+    lines = [
+        f"norm of f: {payload['norm_f']}",
+        f"norm of g: {payload['norm_g']}",
+        f"samples: b = {window['from']}..{window['to']} ({window['note']})",
+    ]
+    for s in rows:
         lines.append(
-            f"b = {s.point}: g(b) = {ring.format(s.divisor_value)}, "
-            f"f(b) = {ring.format(s.dividend_value)}, "
-            f"G(b) = {_decimal(s.divisor_norm)}, F(b) = {_decimal(s.dividend_norm)}, "
-            f"element divides: {s.element_divides}, norm divides: {s.norm_divides} -> {s.status}"
+            f"b = {s['point']}: g(b) = {s['divisor_value']}, "
+            f"f(b) = {s['dividend_value']}, "
+            f"G(b) = {s['divisor_norm']}, F(b) = {s['dividend_norm']}, "
+            f"element divides: {s['element_divides']}, "
+            f"norm divides: {s['norm_divides']} -> {s['status']}"
         )
     lines.append(f"verdict: {report.verdict}")
-    _emit(args, payload, lines)
-    return 0 if report.verdict == "CONSISTENT" else 1
+    return payload, lines, report.verdict == "CONSISTENT"
 
 
 def _add_window(parser: argparse.ArgumentParser) -> None:
@@ -467,7 +398,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, ok = args.func(args)
+        if args.json:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print("\n".join(lines))
+        return 0 if ok else 1
     except (DRingKitError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -114,8 +114,10 @@ def certify_divisibility(f: Poly, g: Poly, search_bound: int = 1000) -> Divisibi
     witness with g(k) != 0 and g(k) not dividing f(k). For such a divisor,
     pointwise divisibility at every integer forces polynomial divisibility,
     so a witness always exists somewhere in Z, though not necessarily within
-    the bound.
+    the bound. A negative search_bound raises ValueError.
     """
+    if search_bound < 0:
+        raise ValueError("the witness search bound must not be negative")
     f._check_ring(g)
     if not g:
         raise ZeroDivisionError("the divisor polynomial is zero")

@@ -1,12 +1,16 @@
 """Subcommand behavior, exit codes, and JSON output discipline."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from dringkit import cli, lab
 from dringkit.cli import CHEB_N_CAP, SAMPLE_POINT_CAP, SF_LIMIT_CAP, ZWDEMO_TRIALS_CAP, main
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
+from dringkit.rings import WRational
 
 
 def run(capsys, *argv):
@@ -50,6 +54,46 @@ def test_divides_negative_with_witness(capsys):
     assert code == 1
     assert "NOT_DIVIDES" in out
     assert "k = 2" in out
+
+
+def test_divides_without_a_witness_inside_the_bound(capsys):
+    # every k in 1..5 divides 60 and g(0) = 0, so the scan runs out
+    argv = ["divides", "x+60", "x", "--bound", "5"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == (
+        "verdict: NOT_DIVIDES\n"
+        "no witness found with |k| <= 5; one exists somewhere in Z\n"
+    )
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload == {
+        "bound": "5",
+        "command": "divides",
+        "f": "x + 60",
+        "g": "x",
+        "quotient": None,
+        "ring": "Z",
+        "verdict": "NOT_DIVIDES",
+        "witness": None,
+    }
+
+
+@pytest.mark.parametrize("bound", ["-1", "-3"])
+def test_divides_negative_bound_is_a_usage_error(capsys, bound):
+    code, out, err = run(capsys, "divides", "x+60", "x", "--bound", bound)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the witness search bound must not be negative\n"
+
+
+def test_divides_bound_zero_stays_valid(capsys):
+    code, out, err = run(capsys, "divides", "x+60", "x", "--bound", "0")
+    assert (code, err) == (1, "")
+    assert out == (
+        "verdict: NOT_DIVIDES\n"
+        "no witness found with |k| <= 0; one exists somewhere in Z\n"
+    )
 
 
 def test_divides_constant_divisor_is_a_usage_error(capsys):
@@ -190,9 +234,11 @@ def test_sample_points_at_the_cap_run(capsys, argv, code):
     (["cheb", "--n", "3", "--certify", "--to", OVER], "--to"),
     (["divides", "x^2+1", "x+1", "--bound", OVER], "--bound"),
     (["divides", "x^2+1", "x+1", "--bound", "-" + OVER], "--bound"),
+    (["cheb", "--n", "3", "--from", "-" + OVER], "--from"),
 ])
 def test_sample_points_over_the_cap_are_usage_errors(capsys, monkeypatch, argv, option):
-    for name in ("eval_divisibility", "norm_transfer_check", "cheb_certify", "certify_divisibility"):
+    for name in ("eval_divisibility", "norm_transfer_check", "cheb_certify", "certify_divisibility",
+                 "_cheb_pairs"):
         monkeypatch.setattr(cli, name, None)  # must not be reached
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -243,6 +289,17 @@ def test_resource_failures_exit_two_without_a_traceback(capsys, monkeypatch, exc
     assert "Traceback" not in err
 
 
+def test_running_out_of_memory_while_printing_exits_two(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.json, "dumps", exhausted)
+    code, out, err = run(capsys, "divides", "x^2-1", "x-1", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of resources (MemoryError)\n"
+
+
 def test_a_failed_root_recheck_exits_two_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr(lab, "_least_root_mod", lambda coeffs, p: 1)
     code, out, err = run(capsys, "sf", "x^2+1", "--limit", "30")
@@ -278,6 +335,16 @@ def test_cheb_certify_passes(capsys):
     assert payload["certificate"]["verdict"] == "DIVIDES"
     assert payload["evaluation"]["verdict"] == "ALL_DIVIDE"
     assert_no_native_numbers(payload)
+
+
+@pytest.mark.parametrize("extra", [[], ["--certify"]])
+def test_cheb_inverted_window_is_a_usage_error(capsys, monkeypatch, extra):
+    monkeypatch.setattr(cli, "_cheb_pairs", None)  # must not be reached
+    monkeypatch.setattr(cli, "cheb_certify", None)
+    code, out, err = run(capsys, "cheb", "--n", "3", "--from", "5", "--to", "-7", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --from must not exceed --to\n"
 
 
 def test_cheb_certify_rejects_n_zero(capsys):
@@ -319,6 +386,43 @@ def test_zwdemo_flag_overrides_environment(capsys, monkeypatch):
     monkeypatch.setenv("DRINGKIT_SEED", "4242")
     code, payload = run_json(capsys, "zwdemo", "--trials", "50", "--seed", "1")
     assert payload["seed"] == "1"
+
+
+def test_zwdemo_default_seed(capsys, monkeypatch):
+    monkeypatch.delenv("DRINGKIT_SEED", raising=False)
+    code, out, err = run(capsys, "zwdemo", "--trials", "20")
+    assert (code, err) == (0, "")
+    assert out == f"trials: 20  passes: 20  failures: 0  (seed {lab.DEFAULT_DEMO_SEED})\n"
+    code, payload = run_json(capsys, "zwdemo", "--trials", "20")
+    assert code == 0
+    assert payload == {
+        "command": "zwdemo",
+        "failures": [],
+        "passes": "20",
+        "seed": str(lab.DEFAULT_DEMO_SEED),
+        "trials": "20",
+    }
+
+
+def test_zwdemo_reports_a_counterexample_and_exits_one(capsys, monkeypatch):
+    argument = WRational(3, 1)
+    report = lab.ZWUnitReport(2, 11, ((argument, argument * argument + 1),))
+    monkeypatch.setattr(cli, "zw_unit_demo", lambda trials, seed: report)
+    code, out, err = run(capsys, "zwdemo", "--trials", "2", "--seed", "11")
+    assert (code, err) == (1, "")
+    assert out == (
+        "trials: 2  passes: 1  failures: 1  (seed 11)\n"
+        "COUNTEREXAMPLE: (3/1)^2 + 1 = 10/1 is not a unit\n"
+    )
+    code, payload = run_json(capsys, "zwdemo", "--trials", "2", "--seed", "11")
+    assert code == 1
+    assert payload == {
+        "command": "zwdemo",
+        "failures": [{"argument": "3/1", "value": "10/1"}],
+        "passes": "1",
+        "seed": "11",
+        "trials": "2",
+    }
 
 
 def test_zwdemo_trials_above_the_cap_is_a_usage_error(capsys, monkeypatch):
@@ -381,6 +485,19 @@ def test_non_ascii_digits_are_diagnosed_with_their_position(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: unexpected character '²' (at position 1)\n"
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["divides", "x^2+1", "x+1"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src, os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dringkit.cli", *argv], capture_output=True, text=True, env=env
+    )
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_text_and_json_agree_on_the_verdict(capsys):

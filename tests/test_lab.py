@@ -118,6 +118,12 @@ def test_certify_rejects_constant_or_imprimitive_divisors():
         certify_divisibility(FERMAT_F, Poly(()))
 
 
+def test_certify_rejects_a_negative_search_bound():
+    for f in (parse_poly("x + 60"), parse_poly("x^2")):  # not divisible, divisible
+        with pytest.raises(ValueError, match="must not be negative"):
+            certify_divisibility(f, parse_poly("x"), search_bound=-1)
+
+
 def test_witness_scan_order_spirals_outward():
     assert list(witness_scan_order(3)) == [0, 1, -1, 2, -2, 3, -3]
 
