@@ -42,6 +42,14 @@ ZWDEMO_TRIALS_CAP = 500_000
 SAMPLE_POINT_CAP = 1000
 
 
+def _check_option(option: str, value: int, least: int, cap: int) -> None:
+    """Usage errors, named after the option, for a value outside least..cap."""
+    if value > cap:
+        raise ArgumentCapError(f"{option} must not exceed {cap}")
+    if value < least:
+        raise ValueError(f"{option} must be at least {least}")
+
+
 def _check_point_cap(option: str, value: int) -> None:
     if abs(value) > SAMPLE_POINT_CAP:
         raise ArgumentCapError(f"|{option}| must not exceed {SAMPLE_POINT_CAP}")
@@ -185,8 +193,7 @@ def _cmd_evalcheck(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_sf(args) -> tuple[dict, list[str], bool]:
-    if args.limit > SF_LIMIT_CAP:
-        raise ArgumentCapError(f"--limit must not exceed {SF_LIMIT_CAP}")
+    _check_option("--limit", args.limit, 2, SF_LIMIT_CAP)
     f = parse_poly(args.f)
     records = [
         {"prime": _decimal(r.prime), "root": _decimal(r.root)}
@@ -209,8 +216,7 @@ def _cmd_sf(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_cheb(args) -> tuple[dict, list[str], bool]:
-    if args.n > CHEB_N_CAP:
-        raise ArgumentCapError(f"--n must not exceed {CHEB_N_CAP}")
+    _check_option("--n", args.n, 0, CHEB_N_CAP)
     if args.certify and args.n < 1:
         raise ValueError("--certify needs --n at least 1")
     samples, window = _sample_window(args)
@@ -237,8 +243,7 @@ def _cmd_cheb(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_zwdemo(args) -> tuple[dict, list[str], bool]:
-    if args.trials > ZWDEMO_TRIALS_CAP:
-        raise ArgumentCapError(f"--trials must not exceed {ZWDEMO_TRIALS_CAP}")
+    _check_option("--trials", args.trials, 1, ZWDEMO_TRIALS_CAP)
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_DEMO_SEED))

@@ -102,19 +102,13 @@ def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferRep
         fnorm = dividend_norm.evaluate(point)
         if gnorm != gval.norm() or fnorm != fval.norm():
             raise VerificationError("norm evaluation disagreed with elementwise norm")
-        if not gval:
-            records.append(
-                TransferSample(point, gval, fval, gnorm, fnorm, None, None, STATUS_VACUOUS)
-            )
-            continue
-        element_divides = gval.divides(fval) is not None
-        norm_divides = fnorm % gnorm == 0
-        if not element_divides:
-            status = STATUS_VACUOUS
-        elif norm_divides:
-            status = STATUS_HOLDS
-        else:
-            status = STATUS_VIOLATION
+        element_divides = norm_divides = None
+        status = STATUS_VACUOUS
+        if gval:
+            element_divides = gval.divides(fval) is not None
+            norm_divides = fnorm % gnorm == 0
+            if element_divides:
+                status = STATUS_HOLDS if norm_divides else STATUS_VIOLATION
         records.append(
             TransferSample(
                 point, gval, fval, gnorm, fnorm, element_divides, norm_divides, status

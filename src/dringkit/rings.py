@@ -181,8 +181,9 @@ ZZ = IntegerRing()
 class QuadRing:
     """The ring of integers Z[w] of Q(sqrt d) for square-free d.
 
-    w = sqrt(d) when d = 2, 3 (mod 4) and (1 + sqrt(d))/2 when d = 1 (mod 4);
-    elements are written a + b*w with integer coordinates a, b.
+    w = sqrt(d) when d = 2, 3 (mod 4) and (1 + sqrt(d))/2 when d = 1 (mod 4),
+    so w**2 = t*w + n with (t, n) = (0, d) or (1, (d - 1)/4); t and n are set
+    once, outside the fields. Elements are a + b*w with integer a, b.
     """
 
     d: int
@@ -194,11 +195,9 @@ class QuadRing:
             raise ValueError(f"|d| is capped at {_MAX_ABS_D}")
         if not is_squarefree(self.d):
             raise ValueError(f"d = {self.d} is not square-free")
-
-    @property
-    def half_mode(self) -> bool:
-        """True when w = (1 + sqrt d)/2, i.e. d = 1 (mod 4)."""
-        return self.d % 4 == 1
+        t = 1 if self.d % 4 == 1 else 0
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "n", (self.d - 1) // 4 if t else self.d)
 
     @property
     def zero(self) -> "QuadInt":
@@ -291,12 +290,10 @@ class QuadInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        ring = self.ring
         a, b, c, e = self.a, self.b, other.a, other.b
-        if self.ring.half_mode:
-            # w**2 = w + (d - 1)/4, from the minimal polynomial of w
-            t = (self.ring.d - 1) // 4
-            return QuadInt(a * c + b * e * t, a * e + b * c + b * e, self.ring)
-        return QuadInt(a * c + self.ring.d * b * e, a * e + b * c, self.ring)
+        be = b * e  # times w**2 = t*w + n
+        return QuadInt(a * c + ring.n * be, a * e + b * c + ring.t * be, ring)
 
     __rmul__ = __mul__
 
@@ -332,18 +329,13 @@ class QuadInt:
         return hash((self.a, self.b, self.ring.d))
 
     def conjugate(self) -> "QuadInt":
-        """The image under the nontrivial field automorphism; fixes exactly Z."""
-        if self.ring.half_mode:
-            # sigma(w) = 1 - w
-            return QuadInt(self.a + self.b, -self.b, self.ring)
-        return QuadInt(self.a, -self.b, self.ring)
+        """The image under the field automorphism w -> t - w; fixes exactly Z."""
+        return QuadInt(self.a + self.ring.t * self.b, -self.b, self.ring)
 
     def norm(self) -> int:
         """The rational integer self * conjugate(self)."""
-        a, b, d = self.a, self.b, self.ring.d
-        if self.ring.half_mode:
-            return a * a + a * b + b * b * (1 - d) // 4
-        return a * a - d * b * b
+        a, b, ring = self.a, self.b, self.ring
+        return a * a + ring.t * a * b - ring.n * b * b
 
     def is_unit(self) -> bool:
         return self.norm() in (1, -1)

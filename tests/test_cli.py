@@ -433,6 +433,20 @@ def test_zwdemo_trials_above_the_cap_is_a_usage_error(capsys, monkeypatch):
     assert err.startswith("error:") and str(ZWDEMO_TRIALS_CAP) in err
 
 
+@pytest.mark.parametrize("argv, message, unreached", [
+    (["sf", "x^2+1", "--limit", "1"], "--limit must be at least 2", ("parse_poly", "sf_search")),
+    (["cheb", "--n", "-3"], "--n must be at least 0", ("_cheb_pairs", "cheb_certify")),
+    (["cheb", "--n", "-3", "--certify"], "--n must be at least 0", ("_cheb_pairs", "cheb_certify")),
+    (["zwdemo", "--trials", "0"], "--trials must be at least 1", ("zw_unit_demo",)),
+], ids=["sf", "cheb", "cheb-certify", "zwdemo"])
+def test_options_below_their_lower_bound_are_usage_errors(capsys, monkeypatch, argv, message,
+                                                          unreached):
+    for name in unreached:
+        monkeypatch.setattr(cli, name, None)  # must not be reached
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # --- transfer ------------------------------------------------------------------------
 
 
@@ -516,6 +530,16 @@ def test_integers_past_the_str_digit_limit_are_printed_in_full(capsys):
     code, out, err = run(capsys, "pseudodiv", "x^50", divisor)
     assert code == 0 and err == ""
     assert "multiplier: 1" + "0" * 5000 + " " in out
+
+
+def test_negative_integers_past_the_str_digit_limit_are_printed_in_full(capsys):
+    # (-1000)^3001 has 9,004 digits, past the 4,300-digit int-to-str limit
+    code, out, err = run(capsys, "pseudodiv", "--json", "--", "x^3001", "-1000x+1")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["multiplier"] == "-1" + "0" * 9003
+    assert payload["power"] == "3001"
+    assert payload["remainder"] == "-1"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,9 @@ from dringkit import (
     NotPrimitiveError,
     Poly,
     QuadRing,
+    SearchCapExceededError,
     SearchPreconditionError,
+    UnsupportedRingError,
     VerificationError,
     ZeroInputError,
     certify_divisibility,
@@ -211,6 +213,20 @@ def test_growth_witness_preconditions():
         growth_witness(parse_poly("x^2"), parse_poly("x"))
 
 
+def test_growth_witness_rejects_quadratic_coefficients():
+    gauss = QuadRing(-1)
+    with pytest.raises(UnsupportedRingError):
+        growth_witness(parse_poly("x", gauss), parse_poly("x^2", gauss))
+
+
+def test_growth_witness_stops_at_the_scan_cap(monkeypatch):
+    f, g = parse_poly("1000000"), parse_poly("x^2")
+    assert growth_witness(f, g) == 1001
+    monkeypatch.setattr(lab, "GROWTH_SCAN_CAP", 100)
+    with pytest.raises(SearchCapExceededError):
+        growth_witness(f, g)
+
+
 # --- prime solvability search ------------------------------------------------
 
 
@@ -236,6 +252,11 @@ def test_sf_search_rejects_constants():
         sf_search(FIVE, 100)
     with pytest.raises(ValueError):
         sf_search(parse_poly("x^2 + 1"), 1)
+
+
+def test_sf_search_rejects_quadratic_coefficients():
+    with pytest.raises(UnsupportedRingError):
+        sf_search(parse_poly("x^2 + 1", QuadRing(-1)), 100)
 
 
 def test_sf_search_nonempty_once_limit_is_large_enough():
@@ -269,6 +290,11 @@ def test_sf_difference_growth_is_monotone():
     )
     with pytest.raises(ZeroInputError):
         sf_difference_growth(parse_poly("x^2 + 1"), 0, [10])
+
+
+def test_sf_difference_growth_needs_a_limit():
+    with pytest.raises(ValueError):
+        sf_difference_growth(parse_poly("x^2 + 1"), 6, [])
 
 
 # --- Z[W] unit demo ----------------------------------------------------------

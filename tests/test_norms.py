@@ -7,6 +7,7 @@ import pytest
 from dringkit import (
     Poly,
     QuadRing,
+    RingMismatchError,
     UnsupportedRingError,
     ZZ,
     conjugate_poly,
@@ -133,6 +134,15 @@ def test_transfer_counts_divisor_zeros_as_vacuous():
     (sample,) = report.samples
     assert sample.element_divides is None
     assert sample.status == "vacuous"
+
+
+def test_transfer_rejects_mixed_rings_and_a_zero_divisor():
+    f = Poly((GAUSS.one, GAUSS.one), GAUSS)
+    eisen = QuadRing(-3)
+    with pytest.raises(RingMismatchError):
+        norm_transfer_check(f, Poly((eisen.one, eisen.one), eisen), [1])
+    with pytest.raises(ZeroDivisionError):
+        norm_transfer_check(f, Poly((), GAUSS), [1])
 
 
 def test_transfer_randomized_multiples_never_violate():

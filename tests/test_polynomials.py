@@ -272,6 +272,11 @@ def test_exact_divide_refuses_on_remainder():
     assert exact_divide(Poly((1, 0, 1)), Poly((1, 1))) is None
 
 
+def test_exact_divide_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(Poly((4, -1, 9)), Poly(()))
+
+
 def test_exact_divide_by_one():
     f = Poly((4, -1, 9))
     assert exact_divide(f, Poly.one()) == f

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from dringkit import (
     NORM_EUCLIDEAN_D,
     DenominatorNotInW,
+    QuadInt,
     QuadRing,
     RingMismatchError,
     UnsupportedRingError,
     WRational,
     ZeroInputError,
+    factorize,
+    is_squarefree,
     quad_gcd,
 )
 from helpers import TEST_QUAD_DS
@@ -23,15 +26,29 @@ EISEN = QuadRing(-3)
 GOLDEN = QuadRing(5)
 
 coords = st.integers(min_value=-1000, max_value=1000)
+big_coords = st.integers(min_value=-10**30, max_value=10**30)
 
 
 # --- descriptors ---------------------------------------------------------
 
 
+# n in w**2 = t*w + n: d itself, or (d - 1)/4 when w = (1 + sqrt d)/2
+MINIMAL_POLYNOMIAL_N = {-1: -1, -2: -2, 2: 2, 3: 3, -3: -1, 5: 1, 13: 3, -7: -2}
+
+
 @pytest.mark.parametrize("d,half", [(-1, False), (-2, False), (2, False), (3, False),
                                     (-3, True), (5, True), (13, True), (-7, True)])
 def test_basis_mode_follows_d_mod_4(d, half):
-    assert QuadRing(d).half_mode is half
+    ring = QuadRing(d)
+    assert (ring.t, ring.n) == (int(half), MINIMAL_POLYNOMIAL_N[d])
+    assert ring.omega * ring.omega == ring.t * ring.omega + ring.n
+
+
+def test_minimal_polynomial_constants_are_not_fields():
+    ring = QuadRing(5)
+    assert list(QuadRing.__dataclass_fields__) == ["d"]
+    assert repr(ring) == "QuadRing(d=5)"
+    assert ring == QuadRing(5) and hash(ring) == hash(QuadRing(5))
 
 
 @pytest.mark.parametrize("d", [0, 1, 4, 8, 12, -4, 45, -9, 10**6 + 1])
@@ -70,7 +87,7 @@ def test_sqrt_mode_multiplication():
     assert GAUSS.omega * GAUSS.omega == GAUSS.element(-1, 0)
 
 
-def test_half_mode_multiplication():
+def test_half_integer_mode_multiplication():
     # w = (1 + sqrt 5)/2 satisfies w^2 = w + 1
     assert GOLDEN.omega * GOLDEN.omega == GOLDEN.element(1, 1)
 
@@ -86,6 +103,59 @@ def test_int_coercion_in_arithmetic():
     assert 2 * GAUSS.element(1, 1) == GAUSS.element(2, 2)
 
 
+def test_int_on_either_side_of_equality_and_subtraction():
+    assert 5 - GAUSS.element(2, 3) == GAUSS.element(3, -3)
+    assert GAUSS.element(3, 0) == 3 and 3 == GAUSS.element(3, 0)
+    assert GAUSS.element(3, 1) != 3 and 3 != GAUSS.element(3, 1)
+    assert GAUSS.element(3, 0) != 4
+
+
+def test_coerce_rejects_floats():
+    with pytest.raises(TypeError):
+        GAUSS.coerce(1.5)
+
+
+# --- against sympy --------------------------------------------------------
+
+# Every norm-Euclidean d, plus rings without a gcd: -5, 10, the prime
+# 999983 = 3 (mod 4) and 999997 = 757 * 1321 = 1 (mod 4).
+ORACLE_DS = tuple(sorted(NORM_EUCLIDEAN_D)) + (-5, 10, 999_983, 999_997)
+
+
+def _sympy_value(x: QuadInt, root):
+    """a + b*w as a sympy number, w built from the given square root of d."""
+    w = (1 + root) / 2 if x.ring.d % 4 == 1 else root
+    return x.a + x.b * w
+
+
+def _sympy_coordinates(sympy, value, d):
+    """(a, b) with value == a + b*w, read off value = p + q*sqrt(d)."""
+    root = sympy.sqrt(d)
+    value = sympy.expand(value)
+    p, q = value.coeff(root, 0), value.coeff(root, 1)
+    assert sympy.expand(value - p - q * root) == 0
+    if d % 4 == 1:  # sqrt(d) = 2w - 1
+        p, q = p - q, 2 * q
+    assert p.is_Integer and q.is_Integer
+    return int(p), int(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=big_coords, b=big_coords, c=big_coords, e=big_coords, d=st.sampled_from(ORACLE_DS))
+def test_multiply_conjugate_and_norm_match_sympy(a, b, c, e, d):
+    sympy = pytest.importorskip("sympy")
+    root = sympy.sqrt(d)
+    ring = QuadRing(d)
+    x, y = ring.element(a, b), ring.element(c, e)
+    product = x * y
+    expected = _sympy_value(x, root) * _sympy_value(y, root)
+    assert (product.a, product.b) == _sympy_coordinates(sympy, expected, d)
+    conjugate = x.conjugate()
+    assert (conjugate.a, conjugate.b) == _sympy_coordinates(sympy, _sympy_value(x, -root), d)
+    norm = sympy.expand(_sympy_value(x, root) * _sympy_value(x, -root))
+    assert norm.is_Integer and x.norm() == int(norm)
+
+
 # --- conjugation ----------------------------------------------------------
 
 
@@ -93,7 +163,7 @@ def test_conjugate_sqrt_mode():
     assert GAUSS.element(3, 4).conjugate() == GAUSS.element(3, -4)
 
 
-def test_conjugate_half_mode():
+def test_conjugate_half_integer_mode():
     # sigma((1 + sqrt 5)/2) = (1 - sqrt 5)/2 = 1 - w
     assert GOLDEN.omega.conjugate() == GOLDEN.element(1, -1)
 
@@ -231,6 +301,15 @@ def test_gcd_rejects_double_zero():
         quad_gcd(GAUSS.zero, GAUSS.zero)
 
 
+def test_gcd_rejects_integers_and_mixed_rings():
+    with pytest.raises(TypeError):
+        quad_gcd(2, GAUSS.element(1, 1))
+    with pytest.raises(TypeError):
+        quad_gcd(GAUSS.element(1, 1), 2)
+    with pytest.raises(RingMismatchError):
+        quad_gcd(GAUSS.element(2, 0), EISEN.element(1, 1))
+
+
 @pytest.mark.parametrize("d", sorted(NORM_EUCLIDEAN_D))
 def test_gcd_divides_both_inputs_across_whitelist(d):
     ring = QuadRing(d)
@@ -302,3 +381,23 @@ def test_wrational_arithmetic():
     assert WRational(3, 5) * WRational(3, 5) == WRational(9, 25)
     assert WRational(3, 5) * WRational(3, 5) + 1 == WRational(34, 25)
     assert 1 + half == WRational(3, 2)
+
+
+def test_wrational_subtraction_negation_and_truth():
+    half = WRational(1, 2)
+    assert WRational(3, 4) - WRational(1, 2) == WRational(1, 4)
+    assert -WRational(3, 4) == WRational(-3, 4)
+    assert 1 - half == half
+    assert not WRational(0, 5) and WRational(1, 5)
+
+
+def test_wrational_denominator_cap():
+    assert WRational(5**20, 5**30).den == 5**10  # reduced before the cap applies
+    with pytest.raises(ValueError):
+        WRational(1, 5**18)  # 5^18 > 10^12
+
+
+def test_factorize_and_is_squarefree_reject_zero():
+    with pytest.raises(ValueError):
+        factorize(0)
+    assert not is_squarefree(0)
