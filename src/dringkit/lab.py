@@ -341,11 +341,12 @@ def sf_difference_growth(
 
     The underlying set is infinite for nonconstant f and nonzero c, but no
     finite computation decides that; this reports the monotone counts instead
-    of a verdict.
+    of a verdict. A limit that is not an int, such as a float, raises
+    TypeError.
     """
     if c == 0:
         raise ZeroInputError("c must be nonzero")
-    bounds = sorted(int(limit) for limit in limits)
+    bounds = sorted(ZZ.coerce(limit) for limit in limits)
     if not bounds:
         raise ValueError("need at least one limit")
     found = [r.prime for r in sf_search(f, bounds[-1]) if c % r.prime != 0]

@@ -84,7 +84,8 @@ def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferRep
 
     Samples where the divisor vanishes or does not divide carry no obligation
     and are marked vacuous. Records are sorted by sample point and duplicates
-    are dropped, so the report does not depend on evaluation order.
+    are dropped, so the report does not depend on evaluation order. A sample
+    that is not an int, such as a float, raises TypeError.
     """
     if f.ring != g.ring:
         raise RingMismatchError(
@@ -95,7 +96,7 @@ def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferRep
     dividend_norm = norm_poly(f)
     divisor_norm = norm_poly(g)
     records = []
-    for point in sorted(set(int(b) for b in samples)):
+    for point in sorted(set(ZZ.coerce(b) for b in samples)):
         gval = g.evaluate(point)
         fval = f.evaluate(point)
         gnorm = divisor_norm.evaluate(point)

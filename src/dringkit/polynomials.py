@@ -124,15 +124,24 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_ring(other)
-            if not self.coeffs or not other.coeffs:
-                return Poly._trusted([], self.ring)
-            out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, c in enumerate(self.coeffs):
-                if not c:
-                    continue
-                for j, d in enumerate(other.coeffs, i):
-                    out[j] = out[j] + c * d
-            return Poly._trusted(out, self.ring)
+            ring = self.ring
+            f, g = self.coeffs, other.coeffs
+            if not f or not g:
+                return Poly._trusted([], ring)
+            if not isinstance(ring, QuadRing):
+                return Poly._trusted(_int_product(f, g), ring)
+            # (A + B*w)(C + E*w) = AC + n*BE + (AE + BC + t*BE)*w, as w**2 = t*w + n.
+            a, b = [x.a for x in f], [x.b for x in f]
+            c, e = [x.a for x in g], [x.b for x in g]
+            t, n = ring.t, ring.n
+            out = [
+                QuadInt(ac + n * be, ae + bc + t * be, ring)
+                for ac, ae, bc, be in zip(
+                    _int_product(a, c), _int_product(a, e),
+                    _int_product(b, c), _int_product(b, e),
+                )
+            ]
+            return Poly._trusted(out, ring)
         scalar = self.ring.coerce(other)
         return Poly._trusted([c * scalar for c in self.coeffs], self.ring)
 
@@ -176,6 +185,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _int_product(a, b) -> list[int]:
+    """Schoolbook product of two nonempty coefficient sequences of ints."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if not c:
+            continue
+        for j, d in enumerate(b, i):
+            out[j] = out[j] + c * d
+    return out
 
 
 def _term_text(c: Element, power: int) -> tuple[int, str]:

@@ -343,17 +343,25 @@ class QuadInt:
     def divides(self, other) -> "QuadInt | None":
         """Return q with other == self * q, or None when no such q is in the ring.
 
-        Computed as other * conjugate(self) / norm(self), with both coordinates
-        checked for exact divisibility.
+        Computed as other * conjugate(self) / norm(self) on the coordinates,
+        with both checked for exact divisibility.
         """
         if not self:
             raise ZeroDivisionError("zero divides only zero")
-        other = self.ring.coerce(other)
-        n = self.norm()
-        num = other * self.conjugate()
-        if num.a % n or num.b % n:
+        ring = self.ring
+        other = ring.coerce(other)
+        t, n = ring.t, ring.n
+        c, e = self.a + t * self.b, -self.b  # conjugate(self) = c + e*w
+        a, b = other.a, other.b
+        be = b * e
+        norm = self.a * c + n * self.b * e
+        qa, ra = divmod(a * c + n * be, norm)
+        if ra:
             return None
-        return QuadInt(num.a // n, num.b // n, self.ring)
+        qb, rb = divmod(a * e + b * c + t * be, norm)
+        if rb:
+            return None
+        return QuadInt(qa, qb, ring)
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -374,33 +382,44 @@ def _round_half_to_zero(num: int, den: int) -> int:
     return -((-2 * num + den - 1) // (2 * den))
 
 
-def _reduction_step(x: QuadInt, y: QuadInt) -> QuadInt:
-    """One division step: a remainder r = x - q*y with |norm(r)| < |norm(y)|."""
-    n = y.norm()
-    num = x * y.conjugate()
-    q = QuadInt(_round_half_to_zero(num.a, n), _round_half_to_zero(num.b, n), x.ring)
-    r = x - q * y
-    bound = abs(n)
-    if abs(r.norm()) < bound:
-        return r
+def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> tuple[int, int]:
+    """One division step on coordinate pairs (a, b) standing for a + b*w:
+    a remainder r = x - q*y with |norm(r)| < |norm(y)|."""
+    t, n = ring.t, ring.n
+    xa, xb = x
+    ya, yb = y
+    ca, cb = ya + t * yb, -yb  # conjugate(y)
+    norm = ya * ca + n * yb * cb
+    be = xb * cb  # q = x * conjugate(y) / norm, rounded coordinatewise
+    qa = _round_half_to_zero(xa * ca + n * be, norm)
+    qb = _round_half_to_zero(xa * cb + xb * ca + t * be, norm)
+    be = qb * yb  # r = x - q*y
+    ra = xa - qa * ya - n * be
+    rb = xb - qa * yb - qb * ya - t * be
+    bound = abs(norm)
+    if abs(ra * ra + t * ra * rb - n * rb * rb) < bound:
+        return ra, rb
     # Coordinatewise nearest rounding is not norm-decreasing for every
     # whitelisted d: in the real fields the |norm| < 1 region is hyperbolic,
     # so the good quotient can sit several lattice steps away. Widen the
     # search deterministically, keeping the smallest remainder of the first
-    # radius that yields one.
+    # radius that yields one. The candidate x - (q + da + db*w)*y is
+    # r - (da + db*w)*y.
     for radius in (1, 2, 4, 8, 16, 32, 64):
         best = None
         best_norm = bound
         for da in range(-radius, radius + 1):
+            sa, sb = ra - da * ya, rb - da * yb
             for db in range(-radius, radius + 1):
-                cand = x - (q + QuadInt(da, db, x.ring)) * y
-                cand_norm = abs(cand.norm())
+                be = db * yb
+                pa, pb = sa - n * be, sb - db * ya - t * be
+                cand_norm = abs(pa * pa + t * pa * pb - n * pb * pb)
                 if cand_norm < best_norm:
-                    best, best_norm = cand, cand_norm
+                    best, best_norm = (pa, pb), cand_norm
         if best is not None:
             return best
     raise GcdReductionError(
-        f"no norm-decreasing remainder near the rounded quotient (d = {x.ring.d})"
+        f"no norm-decreasing remainder near the rounded quotient (d = {ring.d})"
     )
 
 
@@ -409,7 +428,8 @@ def quad_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
 
     Requires the ring's d to lie on the norm-Euclidean whitelist; raises
     UnsupportedRingError otherwise and ZeroInputError when both arguments
-    vanish.
+    vanish. The descent runs on coordinate pairs; one QuadInt is built for
+    the result.
     """
     if not isinstance(x, QuadInt) or not isinstance(y, QuadInt):
         raise TypeError("quad_gcd expects quadratic integers")
@@ -417,15 +437,17 @@ def quad_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
         raise RingMismatchError(
             f"cannot take a gcd across {x.ring} and {y.ring}"
         )
-    if x.ring.d not in NORM_EUCLIDEAN_D:
+    ring = x.ring
+    if ring.d not in NORM_EUCLIDEAN_D:
         raise UnsupportedRingError(
-            f"gcd needs a norm-Euclidean ring; d = {x.ring.d} is not whitelisted"
+            f"gcd needs a norm-Euclidean ring; d = {ring.d} is not whitelisted"
         )
     if not x and not y:
         raise ZeroInputError("gcd(0, 0) is undefined")
-    while y:
-        x, y = y, _reduction_step(x, y)
-    return x
+    u, v = (x.a, x.b), (y.a, y.b)
+    while v[0] or v[1]:
+        u, v = v, _reduction_step(u, v, ring)
+    return QuadInt(u[0], u[1], ring)
 
 
 @dataclass(frozen=True)

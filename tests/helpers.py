@@ -9,16 +9,23 @@ import random
 from dataclasses import dataclass
 
 from dringkit import (
+    GcdReductionError,
+    NORM_EUCLIDEAN_D,
     Poly,
     PolyParseError,
     PrimeSolvabilityRecord,
+    QuadInt,
     QuadRing,
+    RingMismatchError,
+    UnsupportedRingError,
+    ZeroInputError,
     ZZ,
     primes_up_to,
     primitive_part,
 )
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
 from dringkit.polynomials import PseudoDivResult
+from dringkit.rings import _round_half_to_zero
 
 
 def rand_coeff(rng: random.Random, ring, bound: int = 50):
@@ -312,3 +319,79 @@ def evaluate_reference(p: Poly, point):
     for c in reversed(p.coeffs):
         acc = acc * point + c
     return acc
+
+
+# --- reference Z[w] arithmetic on whole QuadInts --------------------------------
+#
+# The QuadInt versions of the kernels that now run on integer coordinates:
+# the gcd descent, the generic schoolbook product and exact division by
+# conjugate and norm. The library must return the same coordinates, that is
+# the same associate, not just an associate.
+
+
+def reduction_step_reference(x: QuadInt, y: QuadInt) -> QuadInt:
+    """One division step: a remainder r = x - q*y with |norm(r)| < |norm(y)|."""
+    n = y.norm()
+    num = x * y.conjugate()
+    q = QuadInt(_round_half_to_zero(num.a, n), _round_half_to_zero(num.b, n), x.ring)
+    r = x - q * y
+    bound = abs(n)
+    if abs(r.norm()) < bound:
+        return r
+    for radius in (1, 2, 4, 8, 16, 32, 64):
+        best = None
+        best_norm = bound
+        for da in range(-radius, radius + 1):
+            for db in range(-radius, radius + 1):
+                cand = x - (q + QuadInt(da, db, x.ring)) * y
+                cand_norm = abs(cand.norm())
+                if cand_norm < best_norm:
+                    best, best_norm = cand, cand_norm
+        if best is not None:
+            return best
+    raise GcdReductionError(
+        f"no norm-decreasing remainder near the rounded quotient (d = {x.ring.d})"
+    )
+
+
+def quad_gcd_reference(x: QuadInt, y: QuadInt) -> QuadInt:
+    if not isinstance(x, QuadInt) or not isinstance(y, QuadInt):
+        raise TypeError("quad_gcd expects quadratic integers")
+    if x.ring != y.ring:
+        raise RingMismatchError(
+            f"cannot take a gcd across {x.ring} and {y.ring}"
+        )
+    if x.ring.d not in NORM_EUCLIDEAN_D:
+        raise UnsupportedRingError(
+            f"gcd needs a norm-Euclidean ring; d = {x.ring.d} is not whitelisted"
+        )
+    if not x and not y:
+        raise ZeroInputError("gcd(0, 0) is undefined")
+    while y:
+        x, y = y, reduction_step_reference(x, y)
+    return x
+
+
+def product_reference(f: Poly, g: Poly) -> Poly:
+    """Schoolbook product on whole ring elements, over any coefficient ring."""
+    if not f.coeffs or not g.coeffs:
+        return Poly._trusted([], f.ring)
+    out = [f.ring.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, c in enumerate(f.coeffs):
+        if not c:
+            continue
+        for j, d in enumerate(g.coeffs, i):
+            out[j] = out[j] + c * d
+    return Poly._trusted(out, f.ring)
+
+
+def divides_reference(x: QuadInt, other) -> QuadInt | None:
+    """q with other == x * q, as other * conjugate(x) / norm(x), else None."""
+    if not x:
+        raise ZeroDivisionError("zero divides only zero")
+    other = x.ring.coerce(other)
+    n = x.norm()
+    num = other * x.conjugate()
+    if num.a % n or num.b % n:
+        return None
+    return QuadInt(num.a // n, num.b // n, x.ring)

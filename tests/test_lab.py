@@ -297,6 +297,15 @@ def test_sf_difference_growth_needs_a_limit():
         sf_difference_growth(parse_poly("x^2 + 1"), 6, [])
 
 
+def test_sf_difference_growth_sorts_its_limits_and_refuses_floats():
+    f = parse_poly("x^2 + 1")
+    assert sf_difference_growth(f, 1, [13, 10]) == [(10, 2), (13, 3)]
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        sf_difference_growth(f, 1, [10.9])
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        sf_difference_growth(f, 1, [10, 20.0])
+
+
 # --- Z[W] unit demo ----------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dringkit import (
+    NormIntegralityError,
     Poly,
     QuadRing,
     RingMismatchError,
@@ -14,6 +15,7 @@ from dringkit import (
     norm_poly,
     norm_transfer_check,
 )
+from dringkit import norms
 from helpers import TEST_QUAD_DS, rand_poly
 
 GAUSS = QuadRing(-1)
@@ -95,6 +97,14 @@ def test_norm_poly_is_multiplicative():
             assert norm_poly(p * q) == norm_poly(p) * norm_poly(q)
 
 
+def test_norm_poly_checks_the_w_parts_of_the_product(monkeypatch):
+    # With conjugation replaced by the identity, norm_poly(x + w) squares
+    # x + w instead: x^2 + 2w*x - 1, whose x^1 coefficient keeps w-part 2.
+    monkeypatch.setattr(norms, "conjugate_poly", lambda p: p)
+    with pytest.raises(NormIntegralityError, match="x\\^1 kept w-part 2"):
+        norm_poly(Poly((GAUSS.omega, GAUSS.one), GAUSS))
+
+
 # --- norm transfer ---------------------------------------------------------
 
 
@@ -154,3 +164,17 @@ def test_transfer_randomized_multiples_never_violate():
             f = g * rand_poly(rng, ring, min_deg=0, max_deg=3, bound=8)
             report = norm_transfer_check(f, g, range(-10, 11))
             assert report.verdict == "CONSISTENT"
+
+
+def test_transfer_sorts_and_deduplicates_the_samples():
+    g = Poly((GAUSS.element(0, -1), GAUSS.one), GAUSS)  # x - w
+    report = norm_transfer_check(g, g, [3, 1, 3, -2, 1])
+    assert [s.point for s in report.samples] == [-2, 1, 3]
+
+
+def test_transfer_refuses_float_samples():
+    g = Poly((GAUSS.element(0, -1), GAUSS.one), GAUSS)
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        norm_transfer_check(g, g, [0.5, 1.9])
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        norm_transfer_check(g, g, [1, 2.0])

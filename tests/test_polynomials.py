@@ -20,7 +20,13 @@ from dringkit import (
     pseudo_divide,
     ZeroPolynomialError,
 )
-from helpers import TEST_QUAD_DS, evaluate_reference, rand_poly, rand_primitive
+from helpers import (
+    TEST_QUAD_DS,
+    evaluate_reference,
+    product_reference,
+    rand_poly,
+    rand_primitive,
+)
 
 GAUSS = QuadRing(-1)
 
@@ -82,6 +88,43 @@ def test_degree_is_additive_under_product():
         q = rand_poly(rng, max_deg=6)
         assert (p * q).degree() == p.degree() + q.degree()
     assert (Poly.zero() * Poly((1, 2))).degree() is None
+
+
+# Over Z[w] the product runs four integer schoolbook products on the
+# coordinates; helpers.product_reference multiplies whole ring elements.
+PRODUCT_RINGS = (ZZ,) + tuple(QuadRing(d) for d in (-1, -3, -7, -11, 2, 3, 5, 73, -5, 999_997))
+product_coords = st.just(0) | st.integers(-10**30, 10**30)
+
+
+@st.composite
+def product_operands(draw):
+    """Two polynomials over one ring, each zero or of degree 0-24."""
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    polys = []
+    for _ in range(2):
+        size = draw(st.integers(0, 25))
+        pairs = draw(st.lists(st.tuples(product_coords, product_coords),
+                              min_size=size, max_size=size))
+        if ring == ZZ:
+            polys.append(Poly([a for a, _ in pairs]))
+        else:
+            polys.append(Poly([ring.element(a, b) for a, b in pairs], ring))
+    return polys
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=product_operands())
+def test_product_matches_the_reference(operands):
+    f, g = operands
+    product, expected = f * g, product_reference(f, g)
+    assert product.ring == expected.ring
+    assert len(product.coeffs) == len(expected.coeffs)
+    for c, e in zip(product.coeffs, expected.coeffs):
+        assert type(c) is type(e)
+        if f.ring != ZZ:
+            assert c.ring == f.ring and (c.a, c.b) == (e.a, e.b)
+        else:
+            assert c == e
 
 
 # --- evaluation -----------------------------------------------------------

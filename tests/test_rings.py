@@ -19,7 +19,13 @@ from dringkit import (
     is_squarefree,
     quad_gcd,
 )
-from helpers import TEST_QUAD_DS
+from dringkit.rings import _reduction_step
+from helpers import (
+    TEST_QUAD_DS,
+    divides_reference,
+    quad_gcd_reference,
+    reduction_step_reference,
+)
 
 GAUSS = QuadRing(-1)
 EISEN = QuadRing(-3)
@@ -341,6 +347,74 @@ def test_gcd_is_maximal_among_small_common_divisors(d):
                     continue
                 if cand.divides(x) is not None and cand.divides(y) is not None:
                     assert cand.divides(g) is not None
+
+
+# quad_gcd and _reduction_step run on coordinate pairs; the QuadInt descent
+# in helpers is the oracle, and the two must agree on the associate.
+gcd_coords = st.integers(min_value=-10**12, max_value=10**12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=gcd_coords, b=gcd_coords, c=gcd_coords | st.just(0), e=gcd_coords | st.just(0),
+       d=st.sampled_from(sorted(NORM_EUCLIDEAN_D)))
+def test_gcd_matches_the_quadint_descent(a, b, c, e, d):
+    ring = QuadRing(d)
+    x, y = ring.element(a, b), ring.element(c, e)
+    if not x and not y:
+        return
+    g, expected = quad_gcd(x, y), quad_gcd_reference(x, y)
+    assert type(g) is QuadInt and g.ring == ring
+    assert (g.a, g.b) == (expected.a, expected.b)
+
+
+def test_widening_search_returns_the_reference_remainder():
+    # Over Q(sqrt 73), N(-6 - w) = 24 and the rounded quotient -3 + w leaves
+    # -6 - 2w, of norm -24: only the widening search finds a smaller remainder.
+    ring = QuadRing(73)
+    x, y = ring.element(-6, -6), ring.element(-6, -1)
+    assert y.norm() == 24
+    assert (x - ring.element(-3, 1) * y).norm() == -24
+    r = _reduction_step((x.a, x.b), (y.a, y.b), ring)
+    expected = reduction_step_reference(x, y)
+    assert r == (expected.a, expected.b)
+    assert abs(ring.element(*r).norm()) < 24
+
+
+# QuadInt.divides works on coordinates; helpers.divides_reference multiplies
+# QuadInts. Every norm-Euclidean d sampled by the benchmark, plus rings
+# without a gcd: -5 and 999997. Divisors of small norm make a non-multiple
+# with one coordinate divisible likely.
+DIVIDES_DS = (-1, -3, -7, -11, 2, 3, 5, 73, -5, 999_997)
+divisor_coords = st.integers(min_value=-3, max_value=3) | big_coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=divisor_coords, b=divisor_coords, c=big_coords, e=big_coords,
+       multiple=st.booleans(), d=st.sampled_from(DIVIDES_DS))
+def test_divides_matches_the_reference(a, b, c, e, multiple, d):
+    ring = QuadRing(d)
+    x, y = ring.element(a, b), ring.element(c, e)
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            x.divides(y)
+        return
+    if multiple:
+        y = x * y
+    q, expected = x.divides(y), divides_reference(x, y)
+    if expected is None:
+        assert q is None
+    else:
+        assert type(q) is QuadInt and (q.a, q.b) == (expected.a, expected.b)
+    if multiple:
+        assert (q.a, q.b) == (c, e)
+
+
+def test_divides_checks_the_ring_of_its_argument():
+    assert GAUSS.element(1, 1).divides(2) == GAUSS.element(1, -1)
+    with pytest.raises(RingMismatchError):
+        GAUSS.element(1, 1).divides(EISEN.element(1, 1))
+    with pytest.raises(TypeError):
+        GAUSS.element(1, 1).divides(2.0)
 
 
 # --- Z[W] -----------------------------------------------------------------
