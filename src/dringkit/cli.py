@@ -307,13 +307,6 @@ def _cmd_transfer(args) -> tuple[dict, list[str], bool]:
     return payload, lines, report.verdict == "CONSISTENT"
 
 
-def _add_window(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--from", dest="lo", type=int, default=-DEFAULT_WINDOW,
-                        help=f"first sample point (default %(default)s, at most {SAMPLE_POINT_CAP} in absolute value)")
-    parser.add_argument("--to", dest="hi", type=int, default=DEFAULT_WINDOW,
-                        help=f"last sample point (default %(default)s, at most {SAMPLE_POINT_CAP} in absolute value)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dringkit",
@@ -325,77 +318,53 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a single JSON document instead of text")
+    any_ring = argparse.ArgumentParser(add_help=False)
+    any_ring.add_argument("--ring", default="Z", help='"Z" or "Q(sqrt d)" (default Z)')
+    quad_ring = argparse.ArgumentParser(add_help=False)
+    quad_ring.add_argument("--ring", required=True, help='must be "Q(sqrt d)"')
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--from", dest="lo", type=int, default=-DEFAULT_WINDOW,
+                        help=f"first sample point (default %(default)s, at most {SAMPLE_POINT_CAP} in absolute value)")
+    window.add_argument("--to", dest="hi", type=int, default=DEFAULT_WINDOW,
+                        help=f"last sample point (default %(default)s, at most {SAMPLE_POINT_CAP} in absolute value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("divides", parents=[common],
-                       help="decide g | f in R[x] for primitive nonconstant g")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--ring", default="Z", help='"Z" or "Q(sqrt d)" (default Z)')
+    def add(name, parents, operands, func, summary) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        for operand in operands:
+            p.add_argument(operand)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("divides", [any_ring], ("f", "g"), _cmd_divides,
+            "decide g | f in R[x] for primitive nonconstant g")
     p.add_argument("--bound", type=int, default=1000,
                    help=f"witness scan bound |k| <= B (default %(default)s, at most {SAMPLE_POINT_CAP})")
     p.add_argument("--primitive-part", dest="primitive_part", action="store_true",
                    help="replace g by its primitive part before certifying")
-    p.set_defaults(func=_cmd_divides)
-
-    p = sub.add_parser("pseudodiv", parents=[common],
-                       help="fraction-free division with multiplier lc(g)^s")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--ring", default="Z")
-    p.set_defaults(func=_cmd_pseudodiv)
-
-    p = sub.add_parser("content", parents=[common],
-                       help="content and primitive part of a polynomial")
-    p.add_argument("p")
-    p.add_argument("--ring", default="Z")
-    p.set_defaults(func=_cmd_content)
-
-    p = sub.add_parser("normpoly", parents=[common],
-                       help="norm polynomial over Z of a quadratic-coefficient polynomial")
-    p.add_argument("p")
-    p.add_argument("--ring", required=True, help='must be "Q(sqrt d)"')
-    p.set_defaults(func=_cmd_normpoly)
-
-    p = sub.add_parser("evalcheck", parents=[common],
-                       help="check g(k) | f(k) over a sample window")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--ring", default="Z")
-    _add_window(p)
-    p.set_defaults(func=_cmd_evalcheck)
-
-    p = sub.add_parser("sf", parents=[common],
-                       help="primes p <= limit at which f has a root mod p")
-    p.add_argument("f")
+    add("pseudodiv", [any_ring], ("f", "g"), _cmd_pseudodiv,
+        "fraction-free division with multiplier lc(g)^s")
+    add("content", [any_ring], ("p",), _cmd_content,
+        "content and primitive part of a polynomial")
+    add("normpoly", [quad_ring], ("p",), _cmd_normpoly,
+        "norm polynomial over Z of a quadratic-coefficient polynomial")
+    add("evalcheck", [any_ring, window], ("f", "g"), _cmd_evalcheck,
+        "check g(k) | f(k) over a sample window")
+    p = add("sf", [], ("f",), _cmd_sf, "primes p <= limit at which f has a root mod p")
     p.add_argument("--limit", type=int, required=True,
                    help=f"search primes up to L (at most {SF_LIMIT_CAP})")
-    p.set_defaults(func=_cmd_sf)
-
-    p = sub.add_parser("cheb", parents=[common],
-                       help="recurrence pair p_n, q_n; --certify checks p_n | q_2n")
+    p = add("cheb", [window], (), _cmd_cheb,
+            "recurrence pair p_n, q_n; --certify checks p_n | q_2n")
     p.add_argument("--n", type=int, required=True,
                    help=f"index of the pair (at most {CHEB_N_CAP})")
     p.add_argument("--certify", action="store_true")
-    _add_window(p)
-    p.set_defaults(func=_cmd_cheb)
-
-    p = sub.add_parser("zwdemo", parents=[common],
-                       help="unit values of x^2 + 1 over Z[W], seeded trials")
+    p = add("zwdemo", [], (), _cmd_zwdemo, "unit values of x^2 + 1 over Z[W], seeded trials")
     p.add_argument("--trials", type=int, default=10_000,
                    help=f"number of seeded trials (default %(default)s, at most {ZWDEMO_TRIALS_CAP})")
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_DEMO_SEED})")
-    p.set_defaults(func=_cmd_zwdemo)
-
-    p = sub.add_parser("transfer", parents=[common],
-                       help="check that elementwise divisibility transfers to norms")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--ring", required=True, help='must be "Q(sqrt d)"')
-    _add_window(p)
-    p.set_defaults(func=_cmd_transfer)
-
+    add("transfer", [quad_ring, window], ("f", "g"), _cmd_transfer,
+        "check that elementwise divisibility transfers to norms")
     return parser
 
 

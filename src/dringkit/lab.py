@@ -159,8 +159,11 @@ def growth_witness(f: Poly, g: Poly) -> int:
     deg g > deg f.
 
     Strict growth separation at k forces g(k) to not divide f(k). Scans
-    upward from 1; raises SearchCapExceededError past the cap, which is only
-    possible if f vanished at every scanned point.
+    upward from 1; raises SearchCapExceededError when no k <= GROWTH_SCAN_CAP
+    separates the two, that is, when at every scanned point f vanishes or
+    |g(k)| <= |f(k)|. Such a k always exists, since deg g > deg f, but with
+    large coefficients in f it can lie past the cap: for f = 10**13 and
+    g = x**2 it is 3162278.
     """
     if f.ring != ZZ or g.ring != ZZ:
         raise UnsupportedRingError("growth comparison needs integer coefficients")
@@ -341,10 +344,10 @@ def sf_difference_growth(
 
     The underlying set is infinite for nonconstant f and nonzero c, but no
     finite computation decides that; this reports the monotone counts instead
-    of a verdict. A limit that is not an int, such as a float, raises
+    of a verdict. A c or a limit that is not an int, such as a float, raises
     TypeError.
     """
-    if c == 0:
+    if ZZ.coerce(c) == 0:
         raise ZeroInputError("c must be nonzero")
     bounds = sorted(ZZ.coerce(limit) for limit in limits)
     if not bounds:
@@ -383,7 +386,7 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    rng = random.Random(seed)
+    rng = random.Random(ZZ.coerce(seed))
     failures = []
     for _ in range(trials):
         a = rng.randint(-10_000, 10_000)

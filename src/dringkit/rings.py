@@ -49,7 +49,7 @@ def _decimal(n: int) -> str:
 
 def is_squarefree(n: int) -> bool:
     """True when no prime square divides n (n must be nonzero)."""
-    n = abs(n)
+    n = abs(ZZ.coerce(n))
     if n == 0:
         return False
     p = 2
@@ -64,6 +64,7 @@ def is_squarefree(n: int) -> bool:
 
 def factorize(n: int) -> dict[int, int]:
     """Factor n >= 1 by trial division, returning {prime: exponent}."""
+    n = ZZ.coerce(n)
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
@@ -189,6 +190,7 @@ class QuadRing:
     d: int
 
     def __post_init__(self) -> None:
+        ZZ.coerce(self.d)
         if self.d in (0, 1):
             raise ValueError("d must differ from 0 and 1")
         if abs(self.d) > _MAX_ABS_D:
@@ -212,7 +214,7 @@ class QuadRing:
         return QuadInt(0, 1, self)
 
     def element(self, a: int, b: int = 0) -> "QuadInt":
-        return QuadInt(a, b, self)
+        return QuadInt(ZZ.coerce(a), ZZ.coerce(b), self)
 
     def coerce(self, value) -> "QuadInt":
         if isinstance(value, QuadInt):
@@ -249,7 +251,13 @@ class QuadRing:
 
 @dataclass(frozen=True, eq=False)
 class QuadInt:
-    """Element a + b*w of a quadratic integer ring."""
+    """Element a + b*w of a quadratic integer ring.
+
+    The constructor is trusted, like Poly._trusted: the kernels build many
+    elements per request from coordinates that are ints by construction, so
+    it checks nothing. Values from outside enter through QuadRing.element or
+    QuadRing.coerce, which reject floats.
+    """
 
     a: int
     b: int

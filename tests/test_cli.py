@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -552,3 +553,83 @@ def test_operands_over_the_parse_caps_exit_two(capsys, operand):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "position" in err
+
+
+# --- the parsed interface ----------------------------------------------------
+
+GAUSS = "Q(sqrt -1)"
+WINDOW_DEFAULTS = {"lo": -20, "hi": 20}
+
+# subcommand -> (minimal argv, every attribute of the parsed namespace but func)
+PARSED = {
+    "divides": (["divides", "x^2", "x"], {
+        "f": "x^2", "g": "x", "ring": "Z", "bound": 1000, "primitive_part": False,
+    }),
+    "pseudodiv": (["pseudodiv", "x^2", "x"], {"f": "x^2", "g": "x", "ring": "Z"}),
+    "content": (["content", "2x"], {"p": "2x", "ring": "Z"}),
+    "normpoly": (["normpoly", "x", "--ring", GAUSS], {"p": "x", "ring": GAUSS}),
+    "evalcheck": (["evalcheck", "x^2", "x"], {
+        "f": "x^2", "g": "x", "ring": "Z", **WINDOW_DEFAULTS,
+    }),
+    "sf": (["sf", "x^2+1", "--limit", "30"], {"f": "x^2+1", "limit": 30}),
+    "cheb": (["cheb", "--n", "3"], {"n": 3, "certify": False, **WINDOW_DEFAULTS}),
+    "zwdemo": (["zwdemo"], {"trials": 10_000, "seed": None}),
+    "transfer": (["transfer", "x", "x", "--ring", GAUSS], {
+        "f": "x", "g": "x", "ring": GAUSS, **WINDOW_DEFAULTS,
+    }),
+}
+
+# subcommand -> every option string its help must name
+HELP_OPTIONS = {
+    "divides": ["--json", "--ring", "--bound", "--primitive-part"],
+    "pseudodiv": ["--json", "--ring"],
+    "content": ["--json", "--ring"],
+    "normpoly": ["--json", "--ring"],
+    "evalcheck": ["--json", "--ring", "--from", "--to"],
+    "sf": ["--json", "--limit"],
+    "cheb": ["--json", "--n", "--certify", "--from", "--to"],
+    "zwdemo": ["--json", "--trials", "--seed"],
+    "transfer": ["--json", "--ring", "--from", "--to"],
+}
+
+
+@pytest.mark.parametrize("command", PARSED)
+def test_minimal_argv_parses_to_the_documented_defaults(command):
+    argv, expected = PARSED[command]
+    namespace = cli.build_parser().parse_args(argv)
+    assert namespace.func is getattr(cli, f"_cmd_{command}")
+    parsed = vars(namespace)
+    del parsed["func"]
+    assert parsed == {"command": command, "json": False, **expected}
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["normpoly", "x"], "--ring"),
+    (["transfer", "x", "x"], "--ring"),
+    (["sf", "x^2+1"], "--limit"),
+    (["cheb"], "--n"),
+])
+def test_a_missing_required_option_exits_two(capsys, argv, option):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert f"the following arguments are required: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", HELP_OPTIONS)
+def test_subcommand_help_names_every_option(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: dringkit {command} ")
+    named = set(re.findall(r"(?<![\w-])(-[\w-]+)", out))
+    assert {"-h", "--help", *HELP_OPTIONS[command]} <= named
+
+
+def test_top_level_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert set(PARSED) <= set(re.findall(r"^ {4}(\w+)", out, re.MULTILINE))

@@ -306,6 +306,11 @@ def test_sf_difference_growth_sorts_its_limits_and_refuses_floats():
         sf_difference_growth(f, 1, [10, 20.0])
 
 
+def test_sf_difference_growth_refuses_a_float_c():
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        sf_difference_growth(parse_poly("x^2 + 1"), 2.5, [30])
+
+
 # --- Z[W] unit demo ----------------------------------------------------------
 
 
@@ -324,6 +329,11 @@ def test_zw_unit_demo_is_deterministic_per_seed():
 def test_zw_unit_demo_rejects_nonpositive_trials():
     with pytest.raises(ValueError):
         zw_unit_demo(0)
+
+
+def test_zw_unit_demo_refuses_a_float_seed():
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        zw_unit_demo(3, seed=1.5)
 
 
 # --- recurrence pairs ---------------------------------------------------------

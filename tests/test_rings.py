@@ -121,6 +121,17 @@ def test_coerce_rejects_floats():
         GAUSS.coerce(1.5)
 
 
+def test_ring_refuses_a_float_d():
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        QuadRing(2.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 1), (1, 0.5), (2.0, 0)])
+def test_element_refuses_float_coordinates(a, b):
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        GAUSS.element(a, b)
+
+
 # --- against sympy --------------------------------------------------------
 
 # Every norm-Euclidean d, plus rings without a gcd: -5, 10, the prime
@@ -475,3 +486,13 @@ def test_factorize_and_is_squarefree_reject_zero():
     with pytest.raises(ValueError):
         factorize(0)
     assert not is_squarefree(0)
+
+
+def test_factorize_refuses_a_float():
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        factorize(1.5)
+
+
+def test_is_squarefree_refuses_a_float():
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        is_squarefree(2.0)
