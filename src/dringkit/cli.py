@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
 from typing import Sequence
 
 from .errors import ArgumentCapError, DRingKitError, UnsupportedRingError
@@ -23,7 +22,7 @@ from .lab import (
     DEFAULT_DEMO_SEED,
     DEFAULT_WINDOW,
     SAMPLE_WINDOW_NOTE,
-    _cheb_pairs,
+    _cheb_pair,
     certify_divisibility,
     cheb_certify,
     eval_divisibility,
@@ -222,7 +221,7 @@ def _cmd_cheb(args) -> tuple[dict, list[str], bool]:
     samples, window = _sample_window(args)
     payload = {"command": "cheb", "n": _decimal(args.n)}
     if not args.certify:
-        pair = deque(_cheb_pairs(args.n), maxlen=1).pop()
+        pair = _cheb_pair(args.n)
         payload["p"] = str(pair.p)
         payload["q"] = str(pair.q)
         lines = [f"p_{payload['n']} = {payload['p']}", f"q_{payload['n']} = {payload['q']}"]
@@ -354,10 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True,
                    help=f"search primes up to L (at most {SF_LIMIT_CAP})")
     p = add("cheb", [window], (), _cmd_cheb,
-            "recurrence pair p_n, q_n; --certify checks p_n | q_2n")
+            "Chebyshev pair p_n = T_n, q_n = U_{n-1}; --certify checks p_n | q_2n")
     p.add_argument("--n", type=int, required=True,
                    help=f"index of the pair (at most {CHEB_N_CAP})")
-    p.add_argument("--certify", action="store_true")
+    p.add_argument("--certify", action="store_true",
+                   help="also certify p_n | q_2n, pointwise on the window and as polynomials")
     p = add("zwdemo", [], (), _cmd_zwdemo, "unit values of x^2 + 1 over Z[W], seeded trials")
     p.add_argument("--trials", type=int, default=10_000,
                    help=f"number of seeded trials (default %(default)s, at most {ZWDEMO_TRIALS_CAP})")

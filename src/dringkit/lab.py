@@ -1,5 +1,5 @@
 """Executable divisibility experiments: pointwise checks, certification,
-prime searches, and the recurrence and unit demos.
+prime searches, the Chebyshev pairs and the unit demo.
 
 The statements behind these procedures quantify over all but finitely many
 integers; the procedures substitute finite, reproducible sample windows and
@@ -114,9 +114,10 @@ def certify_divisibility(f: Poly, g: Poly, search_bound: int = 1000) -> Divisibi
     witness with g(k) != 0 and g(k) not dividing f(k). For such a divisor,
     pointwise divisibility at every integer forces polynomial divisibility,
     so a witness always exists somewhere in Z, though not necessarily within
-    the bound. A negative search_bound raises ValueError.
+    the bound. A negative search_bound raises ValueError, and one that is not
+    an int, such as a float, raises TypeError.
     """
-    if search_bound < 0:
+    if ZZ.coerce(search_bound) < 0:
         raise ValueError("the witness search bound must not be negative")
     f._check_ring(g)
     if not g:
@@ -205,7 +206,7 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
         raise UnsupportedRingError("the prime search runs over integer polynomials")
     if not f or f.degree() < 1:
         raise ConstantPolynomialError("the prime search needs a nonconstant polynomial")
-    if prime_limit < 2:
+    if ZZ.coerce(prime_limit) < 2:
         raise ValueError("prime_limit must be at least 2")
     records = []
     for p in primes_up_to(prime_limit):
@@ -384,7 +385,7 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
     Arguments are a/b with |a| <= 10**4 and b a product of at most two of the
     allowed primes below 100, so numerators stay in trial-division range.
     """
-    if trials < 1:
+    if ZZ.coerce(trials) < 1:
         raise ValueError("trials must be positive")
     rng = random.Random(ZZ.coerce(seed))
     failures = []
@@ -402,9 +403,9 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
 
 @dataclass(frozen=True)
 class ChebPair:
-    """Index n with the polynomials p_n, q_n of the coupled recurrences
-    p_{n+1} = 2x*p_n - p_{n-1} (p_0 = 1, p_1 = x) and likewise for q
-    (q_0 = 0, q_1 = 1)."""
+    """Index n with p_n = T_n and q_n = U_{n-1}, the Chebyshev polynomials of
+    the coupled recurrences p_{n+1} = 2x*p_n - p_{n-1} (p_0 = 1, p_1 = x) and
+    likewise for q (q_0 = 0, q_1 = 1)."""
 
     n: int
     p: Poly
@@ -414,33 +415,35 @@ class ChebPair:
 def cheb_generate(n_max: int) -> list[ChebPair]:
     """Pairs for n = 0..n_max with exact integer coefficients; each p_n with
     n >= 1 is checked to be primitive."""
-    return list(_cheb_pairs(n_max))
-
-
-def _cheb_pairs(n_max: int) -> Iterator[ChebPair]:
-    """cheb_generate's pairs one at a time, holding only the last two."""
-    if n_max < 0:
+    if ZZ.coerce(n_max) < 0:
         raise ValueError("n_max must be nonnegative")
-    p_prev, p = Poly.one(ZZ), Poly.x(ZZ)
-    q_prev, q = Poly.zero(ZZ), Poly.one(ZZ)
-    yield ChebPair(0, p_prev, q_prev)
-    for n in range(1, n_max + 1):
-        if n > 1:
-            p_prev, p = p, _two_x_times_minus(p, p_prev)
-            q_prev, q = q, _two_x_times_minus(q, q_prev)
-        if not is_primitive(p):
-            raise VerificationError(f"p_{n} lost primitivity")
-        yield ChebPair(n, p, q)
+    return [_cheb_pair(n) for n in range(n_max + 1)]
 
 
-def _two_x_times_minus(a: Poly, b: Poly) -> Poly:
-    """2x*a - b over Z in one pass over the coefficients."""
-    out = [0]
-    out.extend(2 * c for c in a.coeffs)
-    out.extend([0] * (len(b.coeffs) - len(out)))
-    for i, c in enumerate(b.coeffs):
-        out[i] -= c
-    return Poly._trusted(out, ZZ)
+def _cheb_u(m: int) -> list[int]:
+    """Ascending coefficients of U_m, [] for m = -1. The coefficient of
+    x^(m-2k) is (-1)^k C(m-k, k) 2^(m-2k) (DLMF 18.5.11), each an exact
+    integer ratio of the one before."""
+    if m < 0:
+        return []
+    coeffs = [0] * (m + 1)
+    c = coeffs[m] = 2**m
+    for k in range(1, m // 2 + 1):
+        j = m - 2 * k
+        c = -c * (j + 2) * (j + 1) // (4 * k * (m - k + 1))
+        coeffs[j] = c
+    return coeffs
+
+
+def _cheb_pair(n: int) -> ChebPair:
+    """The pair of index n, from T_n = U_n - x*U_{n-1}."""
+    u, q = _cheb_u(n), _cheb_u(n - 1)
+    for i, c in enumerate(q):
+        u[i + 1] -= c
+    p = Poly._trusted(u, ZZ)
+    if n >= 1 and not is_primitive(p):
+        raise VerificationError(f"p_{n} lost primitivity")
+    return ChebPair(n, p, Poly._trusted(q, ZZ))
 
 
 @dataclass(frozen=True)
@@ -457,12 +460,10 @@ class ChebCertifyReport:
 def cheb_certify(n: int, eval_range: Iterable[int] | None = None) -> ChebCertifyReport:
     """Check p_n | q_{2n} twice: pointwise on the sample range (skipping zeros
     of p_n) and as polynomials with a multiplication-verified quotient."""
-    if n < 1:
+    if ZZ.coerce(n) < 1:
         raise ValueError("n must be at least 1")
-    for pair in _cheb_pairs(2 * n):
-        if pair.n == n:
-            divisor = pair.p
-    dividend = pair.q
+    divisor = _cheb_pair(n).p
+    dividend = Poly._trusted(_cheb_u(2 * n - 1), ZZ)
     samples = list(eval_range) if eval_range is not None else default_samples()
     evaluation = eval_divisibility(dividend, divisor, samples)
     certificate = certify_divisibility(dividend, divisor)

@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass
 
 from dringkit import (
+    ChebPair,
     GcdReductionError,
     NORM_EUCLIDEAN_D,
     Poly,
@@ -18,8 +19,10 @@ from dringkit import (
     QuadRing,
     RingMismatchError,
     UnsupportedRingError,
+    VerificationError,
     ZeroInputError,
     ZZ,
+    is_primitive,
     primes_up_to,
     primitive_part,
 )
@@ -395,3 +398,30 @@ def divides_reference(x: QuadInt, other) -> QuadInt | None:
     if num.a % n or num.b % n:
         return None
     return QuadInt(num.a // n, num.b // n, x.ring)
+
+
+def cheb_pairs_reference(n_max: int):
+    """Chebyshev pairs for n = 0..n_max by the coupled recurrences, one at a
+    time, holding only the last two."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    p_prev, p = Poly.one(ZZ), Poly.x(ZZ)
+    q_prev, q = Poly.zero(ZZ), Poly.one(ZZ)
+    yield ChebPair(0, p_prev, q_prev)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            p_prev, p = p, _two_x_times_minus(p, p_prev)
+            q_prev, q = q, _two_x_times_minus(q, q_prev)
+        if not is_primitive(p):
+            raise VerificationError(f"p_{n} lost primitivity")
+        yield ChebPair(n, p, q)
+
+
+def _two_x_times_minus(a: Poly, b: Poly) -> Poly:
+    """2x*a - b over Z in one pass over the coefficients."""
+    out = [0]
+    out.extend(2 * c for c in a.coeffs)
+    out.extend([0] * (len(b.coeffs) - len(out)))
+    for i, c in enumerate(b.coeffs):
+        out[i] -= c
+    return Poly._trusted(out, ZZ)

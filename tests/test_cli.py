@@ -239,7 +239,7 @@ def test_sample_points_at_the_cap_run(capsys, argv, code):
 ])
 def test_sample_points_over_the_cap_are_usage_errors(capsys, monkeypatch, argv, option):
     for name in ("eval_divisibility", "norm_transfer_check", "cheb_certify", "certify_divisibility",
-                 "_cheb_pairs"):
+                 "_cheb_pair"):
         monkeypatch.setattr(cli, name, None)  # must not be reached
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -340,7 +340,7 @@ def test_cheb_certify_passes(capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--certify"]])
 def test_cheb_inverted_window_is_a_usage_error(capsys, monkeypatch, extra):
-    monkeypatch.setattr(cli, "_cheb_pairs", None)  # must not be reached
+    monkeypatch.setattr(cli, "_cheb_pair", None)  # must not be reached
     monkeypatch.setattr(cli, "cheb_certify", None)
     code, out, err = run(capsys, "cheb", "--n", "3", "--from", "5", "--to", "-7", *extra)
     assert code == 2
@@ -356,7 +356,7 @@ def test_cheb_certify_rejects_n_zero(capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--certify"]])
 def test_cheb_n_above_the_cap_is_a_usage_error(capsys, monkeypatch, extra):
-    monkeypatch.setattr(cli, "_cheb_pairs", None)  # must not be reached
+    monkeypatch.setattr(cli, "_cheb_pair", None)  # must not be reached
     monkeypatch.setattr(cli, "cheb_certify", None)
     code, out, err = run(capsys, "cheb", "--n", str(CHEB_N_CAP + 1), *extra)
     assert code == 2
@@ -436,8 +436,8 @@ def test_zwdemo_trials_above_the_cap_is_a_usage_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, message, unreached", [
     (["sf", "x^2+1", "--limit", "1"], "--limit must be at least 2", ("parse_poly", "sf_search")),
-    (["cheb", "--n", "-3"], "--n must be at least 0", ("_cheb_pairs", "cheb_certify")),
-    (["cheb", "--n", "-3", "--certify"], "--n must be at least 0", ("_cheb_pairs", "cheb_certify")),
+    (["cheb", "--n", "-3"], "--n must be at least 0", ("_cheb_pair", "cheb_certify")),
+    (["cheb", "--n", "-3", "--certify"], "--n must be at least 0", ("_cheb_pair", "cheb_certify")),
     (["zwdemo", "--trials", "0"], "--trials must be at least 1", ("zw_unit_demo",)),
 ], ids=["sf", "cheb", "cheb-certify", "zwdemo"])
 def test_options_below_their_lower_bound_are_usage_errors(capsys, monkeypatch, argv, message,

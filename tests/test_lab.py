@@ -33,7 +33,7 @@ from dringkit import (
     zw_unit_demo,
 )
 from dringkit import lab
-from helpers import brute_is_prime
+from helpers import brute_is_prime, cheb_pairs_reference
 
 FERMAT_F = parse_poly("x^5 - x")
 FIVE = parse_poly("5")
@@ -336,7 +336,7 @@ def test_zw_unit_demo_refuses_a_float_seed():
         zw_unit_demo(3, seed=1.5)
 
 
-# --- recurrence pairs ---------------------------------------------------------
+# --- Chebyshev pairs ----------------------------------------------------------
 
 
 def test_cheb_generate_first_pairs():
@@ -355,6 +355,23 @@ def test_cheb_generate_satisfies_the_recurrences():
     for n in range(1, 60):
         assert pairs[n + 1].p == two_x * pairs[n].p - pairs[n - 1].p
         assert pairs[n + 1].q == two_x * pairs[n].q - pairs[n - 1].q
+
+
+def test_cheb_generate_matches_the_recurrence_up_to_400():
+    for pair, reference in zip(cheb_generate(400), cheb_pairs_reference(400), strict=True):
+        assert pair.n == reference.n
+        assert pair.p.coeffs == reference.p.coeffs
+        assert pair.q.coeffs == reference.q.coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 160, 999, 1000])
+def test_cheb_pair_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    pair = lab._cheb_pair(n)
+    t = sympy.chebyshevt_poly(n, polys=True).all_coeffs()
+    u = sympy.chebyshevu_poly(n - 1, polys=True).all_coeffs()
+    assert pair.p.coeffs == tuple(int(c) for c in reversed(t))
+    assert pair.q.coeffs == tuple(int(c) for c in reversed(u))
 
 
 def test_cheb_generate_rejects_negative_index():
@@ -403,11 +420,12 @@ def test_cheb_certify_holds_only_the_pairs_it_uses():
     assert peak < 2_000_000, f"peak {peak} bytes"
 
 
-@pytest.mark.parametrize("run, checked", [
-    (lambda: cheb_generate(7), 7),
-    (lambda: cheb_certify(5, range(-3, 4)), 10),
-])
-def test_every_p_n_is_checked_for_primitivity(monkeypatch, run, checked):
+@pytest.mark.parametrize("run, degrees", [
+    (lambda: cheb_generate(7), [1, 2, 3, 4, 5, 6, 7]),
+    # only p_5 is built; certify_divisibility checks its divisor once more
+    (lambda: cheb_certify(5, range(-3, 4)), [5, 5]),
+], ids=["cheb_generate", "cheb_certify"])
+def test_every_p_n_is_checked_for_primitivity(monkeypatch, run, degrees):
     original = lab.is_primitive
     seen = []
 
@@ -417,16 +435,31 @@ def test_every_p_n_is_checked_for_primitivity(monkeypatch, run, checked):
 
     monkeypatch.setattr(lab, "is_primitive", recording)
     run()
-    # certify_divisibility checks its divisor p_n once more
-    assert seen[:checked] == list(range(1, checked + 1))
+    assert seen == degrees
 
 
 def test_a_p_n_that_lost_primitivity_is_reported(monkeypatch):
     monkeypatch.setattr(lab, "is_primitive", lambda p: p.degree() != 3)
     with pytest.raises(VerificationError, match="p_3 lost primitivity"):
-        cheb_certify(2)
+        cheb_certify(3)
     with pytest.raises(VerificationError, match="p_3 lost primitivity"):
         cheb_generate(5)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: cheb_generate(2.0),
+    lambda: cheb_certify(2.0),
+    lambda: certify_divisibility(parse_poly("x^2 - 1"), parse_poly("x - 1"), search_bound=2.5),
+    lambda: certify_divisibility(parse_poly("x^2"), parse_poly("x - 1"), search_bound=2.5),
+    lambda: sf_search(parse_poly("x^2 + 1"), 10.5),
+    lambda: zw_unit_demo(2.0),
+], ids=["cheb_generate", "cheb_certify", "certify-divides", "certify-not-divides", "sf_search",
+        "zw_unit_demo"])
+def test_lab_entry_points_refuse_a_float_before_any_work(monkeypatch, run):
+    for name in ("_cheb_pair", "_cheb_u", "exact_divide", "primes_up_to", "WRational"):
+        monkeypatch.setattr(lab, name, None)  # must not be reached
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        run()
 
 
 # --- self-checks ----------------------------------------------------------------
