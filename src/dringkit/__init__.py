@@ -18,7 +18,6 @@ from .errors import (
     DenominatorNotInW,
     DRingKitError,
     EmptySampleSetError,
-    GcdReductionError,
     NormIntegralityError,
     NotPrimitiveError,
     PolyParseError,
@@ -97,7 +96,6 @@ __all__ = [
     "DivisibilityCertificate",
     "EmptySampleSetError",
     "EvalDivReport",
-    "GcdReductionError",
     "IntegerRing",
     "NORM_EUCLIDEAN_D",
     "NormIntegralityError",

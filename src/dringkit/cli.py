@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -34,7 +33,6 @@ from .parsing import parse_poly, parse_ring
 from .polynomials import primitive_part, pseudo_divide
 from .rings import ZZ, QuadRing, _decimal
 
-SEED_ENV_VAR = "DRINGKIT_SEED"
 SF_LIMIT_CAP = 10**6
 CHEB_N_CAP = 1000
 ZWDEMO_TRIALS_CAP = 500_000
@@ -243,10 +241,7 @@ def _cmd_cheb(args) -> tuple[dict, list[str], bool]:
 
 def _cmd_zwdemo(args) -> tuple[dict, list[str], bool]:
     _check_option("--trials", args.trials, 1, ZWDEMO_TRIALS_CAP)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_DEMO_SEED))
-    report = zw_unit_demo(args.trials, seed)
+    report = zw_unit_demo(args.trials, args.seed)
     failures = [
         {"argument": str(argument), "value": str(value)} for argument, value in report.failures
     ]
@@ -361,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("zwdemo", [], (), _cmd_zwdemo, "unit values of x^2 + 1 over Z[W], seeded trials")
     p.add_argument("--trials", type=int, default=10_000,
                    help=f"number of seeded trials (default %(default)s, at most {ZWDEMO_TRIALS_CAP})")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_DEMO_SEED})")
+    p.add_argument("--seed", type=int, default=DEFAULT_DEMO_SEED,
+                   help="RNG seed (default %(default)s)")
     add("transfer", [quad_ring, window], ("f", "g"), _cmd_transfer,
         "check that elementwise divisibility transfers to norms")
     return parser

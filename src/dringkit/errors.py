@@ -62,10 +62,6 @@ class VerificationError(DRingKitError):
     arithmetic bug."""
 
 
-class GcdReductionError(DRingKitError):
-    """Norm-Euclidean descent could not find a norm-decreasing remainder."""
-
-
 class PolyParseError(DRingKitError):
     """Polynomial or ring text could not be parsed."""
 

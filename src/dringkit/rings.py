@@ -14,7 +14,6 @@ from itertools import chain, count
 
 from .errors import (
     DenominatorNotInW,
-    GcdReductionError,
     RingMismatchError,
     UnsupportedRingError,
     ZeroInputError,
@@ -409,11 +408,12 @@ def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> t
         return ra, rb
     # Coordinatewise nearest rounding is not norm-decreasing for every
     # whitelisted d: in the real fields the |norm| < 1 region is hyperbolic,
-    # so the good quotient can sit several lattice steps away. Widen the
-    # search deterministically, keeping the smallest remainder of the first
-    # radius that yields one. The candidate x - (q + da + db*w)*y is
-    # r - (da + db*w)*y.
-    for radius in (1, 2, 4, 8, 16, 32, 64):
+    # so the good quotient can sit many lattice steps away. Double the box
+    # until it holds one (on the whitelist some quotient always shrinks the
+    # norm) and keep its first remainder of least norm. The candidate
+    # x - (q + da + db*w)*y is r - (da + db*w)*y.
+    radius = 1
+    while True:
         best = None
         best_norm = bound
         for da in range(-radius, radius + 1):
@@ -426,9 +426,7 @@ def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> t
                     best, best_norm = (pa, pb), cand_norm
         if best is not None:
             return best
-    raise GcdReductionError(
-        f"no norm-decreasing remainder near the rounded quotient (d = {ring.d})"
-    )
+        radius *= 2
 
 
 def quad_gcd(x: QuadInt, y: QuadInt) -> QuadInt:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from dringkit import (
     ChebPair,
-    GcdReductionError,
     NORM_EUCLIDEAN_D,
     Poly,
     PolyParseError,
@@ -341,7 +340,8 @@ def reduction_step_reference(x: QuadInt, y: QuadInt) -> QuadInt:
     bound = abs(n)
     if abs(r.norm()) < bound:
         return r
-    for radius in (1, 2, 4, 8, 16, 32, 64):
+    radius = 1
+    while True:
         best = None
         best_norm = bound
         for da in range(-radius, radius + 1):
@@ -352,9 +352,7 @@ def reduction_step_reference(x: QuadInt, y: QuadInt) -> QuadInt:
                     best, best_norm = cand, cand_norm
         if best is not None:
             return best
-    raise GcdReductionError(
-        f"no norm-decreasing remainder near the rounded quotient (d = {x.ring.d})"
-    )
+        radius *= 2
 
 
 def quad_gcd_reference(x: QuadInt, y: QuadInt) -> QuadInt:

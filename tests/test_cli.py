@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from dringkit import cli, lab
+from dringkit import Poly, QuadRing, cli, lab, parse_poly
 from dringkit.cli import CHEB_N_CAP, SAMPLE_POINT_CAP, SF_LIMIT_CAP, ZWDEMO_TRIALS_CAP, main
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
 from dringkit.rings import WRational
+from helpers import quad_gcd_reference
 
 
 def run(capsys, *argv):
@@ -163,6 +164,17 @@ def test_content_over_a_quadratic_ring(capsys):
     assert code == 0
     # the content is some associate of 2; no canonical associate is chosen
     assert payload["content"] in {"[2]", "[-2]", "[0+2w]", "[0-2w]"}
+
+
+def test_content_whose_gcd_needs_a_box_past_radius_64(capsys):
+    p = "[296727691650+732207385456w]x + [-341487525608-595848167312w]"
+    code, payload = run_json(capsys, "content", p, "--ring", "Q(sqrt 19)")
+    assert code == 0
+    ring = QuadRing(19)
+    f = parse_poly(p, ring)
+    expected = quad_gcd_reference(*f.coeffs)
+    assert payload["content"] == f"[{expected}]" == "[340-78w]"
+    assert Poly.constant(expected, ring) * parse_poly(payload["primitive_part"], ring) == f
 
 
 def test_normpoly_projects_to_z(capsys):
@@ -376,21 +388,9 @@ def test_zwdemo_runs_clean(capsys):
     assert payload["seed"] == "5"
 
 
-def test_zwdemo_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("DRINGKIT_SEED", "4242")
-    code, payload = run_json(capsys, "zwdemo", "--trials", "50")
-    assert code == 0
-    assert payload["seed"] == "4242"
-
-
-def test_zwdemo_flag_overrides_environment(capsys, monkeypatch):
-    monkeypatch.setenv("DRINGKIT_SEED", "4242")
-    code, payload = run_json(capsys, "zwdemo", "--trials", "50", "--seed", "1")
-    assert payload["seed"] == "1"
-
-
 def test_zwdemo_default_seed(capsys, monkeypatch):
-    monkeypatch.delenv("DRINGKIT_SEED", raising=False)
+    # --seed is the only way to set the seed; the environment is not read
+    monkeypatch.setenv("DRINGKIT_SEED", "4242")
     code, out, err = run(capsys, "zwdemo", "--trials", "20")
     assert (code, err) == (0, "")
     assert out == f"trials: 20  passes: 20  failures: 0  (seed {lab.DEFAULT_DEMO_SEED})\n"
@@ -573,7 +573,7 @@ PARSED = {
     }),
     "sf": (["sf", "x^2+1", "--limit", "30"], {"f": "x^2+1", "limit": 30}),
     "cheb": (["cheb", "--n", "3"], {"n": 3, "certify": False, **WINDOW_DEFAULTS}),
-    "zwdemo": (["zwdemo"], {"trials": 10_000, "seed": None}),
+    "zwdemo": (["zwdemo"], {"trials": 10_000, "seed": 1729}),
     "transfer": (["transfer", "x", "x", "--ring", GAUSS], {
         "f": "x", "g": "x", "ring": GAUSS, **WINDOW_DEFAULTS,
     }),

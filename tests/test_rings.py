@@ -391,6 +391,45 @@ def test_widening_search_returns_the_reference_remainder():
     assert abs(ring.element(*r).norm()) < 24
 
 
+def test_widening_search_goes_past_radius_64():
+    # Over Q(sqrt 19) the nearest norm-decreasing quotient for this pair sits
+    # 80 + 18w lattice steps from the rounded one, outside the radius-64 box.
+    ring = QuadRing(19)
+    x, y = ring.element(10441235250, -2400402664), ring.element(59661890374, -13688237592)
+    assert y.norm() == -447_956_126_603_350_940
+    r = _reduction_step((x.a, x.b), (y.a, y.b), ring)
+    expected = reduction_step_reference(x, y)
+    assert r == (expected.a, expected.b)
+    assert abs(ring.element(*r).norm()) < 447_956_126_603_350_940
+
+
+def test_gcd_whose_descent_needs_a_box_past_radius_64():
+    ring = QuadRing(19)
+    x = ring.element(-341487525608, -595848167312)
+    y = ring.element(296727691650, 732207385456)
+    g, expected = quad_gcd(x, y), quad_gcd_reference(x, y)
+    assert g.divides(x) is not None and g.divides(y) is not None
+    assert (g.a, g.b) == (expected.a, expected.b)
+
+
+# The real fields whose sampled descents needed the widest boxes: radius 8,
+# 128, 8 and 32 for d = 11, 19, 57 and 73.
+wide_coords = st.integers(min_value=-10**20, max_value=10**20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=wide_coords, b=wide_coords, c=wide_coords, e=wide_coords,
+       d=st.sampled_from((11, 19, 57, 73)))
+def test_gcd_divides_both_inputs_in_the_widest_search_fields(a, b, c, e, d):
+    ring = QuadRing(d)
+    x, y = ring.element(a, b), ring.element(c, e)
+    if not x and not y:
+        return
+    g, expected = quad_gcd(x, y), quad_gcd_reference(x, y)
+    assert g.divides(x) is not None and g.divides(y) is not None
+    assert (g.a, g.b) == (expected.a, expected.b)
+
+
 # QuadInt.divides works on coordinates; helpers.divides_reference multiplies
 # QuadInts. Every norm-Euclidean d sampled by the benchmark, plus rings
 # without a gcd: -5 and 999997. Divisors of small norm make a non-multiple
