@@ -18,7 +18,6 @@ from .errors import (
     DenominatorNotInW,
     DRingKitError,
     EmptySampleSetError,
-    NormIntegralityError,
     NotPrimitiveError,
     PolyParseError,
     RingMismatchError,
@@ -98,7 +97,6 @@ __all__ = [
     "EvalDivReport",
     "IntegerRing",
     "NORM_EUCLIDEAN_D",
-    "NormIntegralityError",
     "NotPrimitiveError",
     "Poly",
     "PolyParseError",

@@ -53,10 +53,6 @@ class ArgumentCapError(DRingKitError):
     """A command-line argument exceeds its documented cap."""
 
 
-class NormIntegralityError(DRingKitError):
-    """A norm polynomial coefficient kept a nonzero w-part; arithmetic bug."""
-
-
 class VerificationError(DRingKitError):
     """An answer failed its own re-check (a quotient, a root, an identity);
     arithmetic bug."""

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    NormIntegralityError,
-    RingMismatchError,
-    UnsupportedRingError,
-    VerificationError,
-)
+from .errors import RingMismatchError, UnsupportedRingError, VerificationError
 from .polynomials import Poly
 from .rings import ZZ, QuadInt, QuadRing
 
@@ -36,8 +31,8 @@ def norm_poly(p: Poly) -> Poly:
     """The product p * conjugate_poly(p), projected onto Z[x].
 
     Every coefficient of the product has zero w-part; the projection checks
-    this and raises NormIntegralityError on a violation, which would indicate
-    an arithmetic bug rather than bad input.
+    this and raises VerificationError on a violation, which would indicate an
+    arithmetic bug rather than bad input.
     """
     if not isinstance(p.ring, QuadRing):
         raise UnsupportedRingError("norm polynomials need quadratic coefficients")
@@ -45,7 +40,7 @@ def norm_poly(p: Poly) -> Poly:
     values = []
     for i, c in enumerate(product.coeffs):
         if c.b != 0:
-            raise NormIntegralityError(f"coefficient of x^{i} kept w-part {c.b}")
+            raise VerificationError(f"coefficient of x^{i} kept w-part {c.b}")
         values.append(c.a)
     return Poly._trusted(values, ZZ)
 

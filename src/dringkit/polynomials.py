@@ -110,13 +110,7 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_ring(other)
-        a, b = self.coeffs, other.coeffs
-        out = list(a)
-        out.extend([self.ring.zero] * (len(b) - len(a)))
-        for i, c in enumerate(b):
-            out[i] = out[i] - c
-        return Poly._trusted(out, self.ring)
+        return self + -other
 
     def __neg__(self):
         return Poly._trusted([-c for c in self.coeffs], self.ring)
@@ -126,8 +120,6 @@ class Poly:
             self._check_ring(other)
             ring = self.ring
             f, g = self.coeffs, other.coeffs
-            if not f or not g:
-                return Poly._trusted([], ring)
             if not isinstance(ring, QuadRing):
                 return Poly._trusted(_int_product(f, g), ring)
             # (A + B*w)(C + E*w) = AC + n*BE + (AE + BC + t*BE)*w, as w**2 = t*w + n.
@@ -188,7 +180,8 @@ class Poly:
 
 
 def _int_product(a, b) -> list[int]:
-    """Schoolbook product of two nonempty coefficient sequences of ints."""
+    """Schoolbook product of two coefficient sequences of ints; an empty
+    operand gives only zeros, which Poly._trusted strips."""
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if not c:
@@ -266,9 +259,7 @@ def pseudo_divide(f: Poly, g: Poly) -> PseudoDivResult:
         raise ZeroDivisionError("pseudo-division by the zero polynomial")
     ring = f.ring
     n = g.degree()
-    if not f or f.degree() < n:
-        return PseudoDivResult(ring.one, Poly.zero(ring), f, 0)
-    s = f.degree() - n + 1
+    s = max(len(f.coeffs) - n, 0)
     lead = g.coeffs[n]
     low = g.coeffs[:n]
     powers = [ring.one]
@@ -301,11 +292,7 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
-    if not f:
-        return Poly.zero(ring)
     n = g.degree()
-    if f.degree() < n:
-        return None
     lead = g.coeffs[n]
     divides = ring.divides
     terms = [(i, d) for i, d in enumerate(g.coeffs[:n]) if d]

@@ -159,7 +159,7 @@ class IntegerRing:
             )
         if not isinstance(value, int):
             raise TypeError(f"exact integer required, got {type(value).__name__}")
-        return value
+        return int(value)  # a bool becomes the plain int it equals
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerRing)
@@ -223,7 +223,7 @@ class QuadRing:
                 )
             return value
         if isinstance(value, int):
-            return QuadInt(value, 0, self)
+            return QuadInt(int(value), 0, self)
         raise TypeError(f"cannot interpret {type(value).__name__} in {self}")
 
     def divides(self, a: "QuadInt", b: "QuadInt") -> "QuadInt | None":
@@ -411,14 +411,17 @@ def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> t
     # so the good quotient can sit many lattice steps away. Double the box
     # until it holds one (on the whitelist some quotient always shrinks the
     # norm) and keep its first remainder of least norm. The candidate
-    # x - (q + da + db*w)*y is r - (da + db*w)*y.
-    radius = 1
+    # x - (q + da + db*w)*y is r - (da + db*w)*y. Each box skips the one
+    # before it, already found empty; the first skips only r itself.
+    radius, inner = 1, 0
     while True:
         best = None
         best_norm = bound
-        for da in range(-radius, radius + 1):
+        row = range(-radius, radius + 1)
+        outer_row = [*range(-radius, -inner), *range(inner + 1, radius + 1)]
+        for da in row:
             sa, sb = ra - da * ya, rb - da * yb
-            for db in range(-radius, radius + 1):
+            for db in outer_row if -inner <= da <= inner else row:
                 be = db * yb
                 pa, pb = sa - n * be, sb - db * ya - t * be
                 cand_norm = abs(pa * pa + t * pa * pb - n * pb * pb)
@@ -426,7 +429,7 @@ def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> t
                     best, best_norm = (pa, pb), cand_norm
         if best is not None:
             return best
-        radius *= 2
+        radius, inner = 2 * radius, radius
 
 
 def quad_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
@@ -473,10 +476,9 @@ class WRational:
             raise ZeroDivisionError("denominator must be nonzero")
         if den < 0:
             num, den = -num, -den
-        g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
+        g = math.gcd(num, den)  # a TypeError for a float
+        num //= g  # a plain int also for a bool
+        den //= g
         if den > _MAX_W_DENOMINATOR:
             raise ValueError(f"reduced denominator exceeds {_MAX_W_DENOMINATOR}")
         p = _first_non_w_prime(den)

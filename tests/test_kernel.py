@@ -7,6 +7,7 @@ that every arithmetic result comes out normalised.
 """
 
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,11 +17,12 @@ from dringkit import (
     Poly,
     QuadRing,
     RingMismatchError,
+    VerificationError,
     ZZ,
     exact_divide,
     pseudo_divide,
 )
-from helpers import oracle_exact_divide, oracle_pseudo_divide, rand_poly
+from helpers import oracle_exact_divide, oracle_pseudo_divide, product_reference, rand_poly
 
 ORACLE_QUAD_DS = (-1, -3, 5, 2)
 
@@ -144,6 +146,48 @@ def test_kernels_match_the_reference_loops_on_long_inputs():
             assert same_pseudo(pseudo_divide(f, g), oracle_pseudo_divide(f, g))
             assert same_poly(exact_divide(f * g, g), oracle_exact_divide(f * g, g))
             assert exact_divide(f * g + Poly.one(ring), g) is None
+
+
+# --- inputs the main loops answer without a special case ------------------------
+
+TRIVIAL_RINGS = (ZZ,) + tuple(QuadRing(d) for d in ORACLE_QUAD_DS)
+
+
+@pytest.mark.parametrize("ring", TRIVIAL_RINGS, ids=str)
+def test_short_dividends_run_through_the_division_loops(ring):
+    # A zero dividend, or one of lower degree than the divisor, leaves s = 0:
+    # an empty loop, multiplier 1, quotient 0 and remainder f, re-checked.
+    rng = random.Random(13)
+    for g in (Poly.constant(3, ring), rand_poly(rng, ring, min_deg=3, max_deg=3)):
+        for f in (Poly.zero(ring), *(rand_poly(rng, ring, d, d) for d in range(g.degree()))):
+            result = pseudo_divide(f, g)
+            assert same_pseudo(result, oracle_pseudo_divide(f, g))
+            assert result.multiplier == ring.one and result.s == 0
+            assert same_poly(result.remainder, f) and not result.quotient
+            quotient, oracle = exact_divide(f, g), oracle_exact_divide(f, g)
+            assert (quotient is None) == (oracle is None) == bool(f)
+            assert quotient is None or same_poly(quotient, oracle)
+
+
+@pytest.mark.parametrize("ring", TRIVIAL_RINGS, ids=str)
+def test_empty_operands_of_product_and_difference(ring):
+    zero = Poly.zero(ring)
+    p = rand_poly(random.Random(17), ring, min_deg=2, max_deg=5)
+    for f, g in ((zero, p), (p, zero), (zero, zero)):
+        assert same_poly(f * g, product_reference(f, g))
+        pairs = zip_longest(f.coeffs, g.coeffs, fillvalue=ring.zero)
+        assert same_poly(f - g, Poly([c - d for c, d in pairs], ring))
+
+
+@pytest.mark.parametrize("ring", TRIVIAL_RINGS, ids=str)
+def test_short_pseudo_division_is_re_checked(ring, monkeypatch):
+    # Every pseudo-division re-checks lc(g)^s * f == g*q + r, also at s = 0;
+    # a wrong sum must surface as VerificationError, not a silent answer.
+    f, g = Poly.x(ring), Poly((1, 0, 1), ring)
+    add = Poly.__add__
+    monkeypatch.setattr(Poly, "__add__", lambda p, q: add(add(p, q), Poly.one(ring)))
+    with pytest.raises(VerificationError, match="pseudo-division identity failed"):
+        pseudo_divide(f, g)
 
 
 # --- validation at the boundary ------------------------------------------------

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from dringkit import (
-    NormIntegralityError,
     Poly,
     QuadRing,
     RingMismatchError,
     UnsupportedRingError,
+    VerificationError,
     ZZ,
     conjugate_poly,
     norm_poly,
@@ -101,7 +101,7 @@ def test_norm_poly_checks_the_w_parts_of_the_product(monkeypatch):
     # With conjugation replaced by the identity, norm_poly(x + w) squares
     # x + w instead: x^2 + 2w*x - 1, whose x^1 coefficient keeps w-part 2.
     monkeypatch.setattr(norms, "conjugate_poly", lambda p: p)
-    with pytest.raises(NormIntegralityError, match="x\\^1 kept w-part 2"):
+    with pytest.raises(VerificationError, match="x\\^1 kept w-part 2"):
         norm_poly(Poly((GAUSS.omega, GAUSS.one), GAUSS))
 
 

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from dringkit import (
     NORM_EUCLIDEAN_D,
     DenominatorNotInW,
+    Poly,
     QuadInt,
     QuadRing,
     RingMismatchError,
     UnsupportedRingError,
     WRational,
+    ZZ,
     ZeroInputError,
     factorize,
     is_squarefree,
+    parse_poly,
     quad_gcd,
 )
 from dringkit.rings import _reduction_step
@@ -130,6 +133,25 @@ def test_ring_refuses_a_float_d():
 def test_element_refuses_float_coordinates(a, b):
     with pytest.raises(TypeError, match="exact integer required, got float"):
         GAUSS.element(a, b)
+
+
+def test_a_bool_is_stored_as_the_int_it_equals():
+    # bool is a subclass of int; stored as is, True printed as "True", which
+    # the parser cannot read back.
+    assert type(ZZ.coerce(True)) is int and ZZ.coerce(False) == 0
+    assert str(GAUSS.element(True)) == "1"
+    assert type(GAUSS.coerce(True).a) is int
+    p = Poly((True, GAUSS.omega), GAUSS)
+    assert str(p) == "[0+1w]x + [1]"
+    assert parse_poly(str(p), GAUSS) == p
+    assert str(WRational(3, True)) == "3/1"
+    assert type(WRational(True).num) is int
+
+
+@pytest.mark.parametrize("num, den", [(1.5, 1), (1, 2.0)])
+def test_wrational_refuses_float_integers(num, den):
+    with pytest.raises(TypeError, match="float"):
+        WRational(num, den)
 
 
 # --- against sympy --------------------------------------------------------
