@@ -385,9 +385,11 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
     Arguments are a/b with |a| <= 10**4 and b a product of at most two of the
     allowed primes below 100, so numerators stay in trial-division range.
     """
-    if ZZ.coerce(trials) < 1:
+    trials = ZZ.coerce(trials)
+    if trials < 1:
         raise ValueError("trials must be positive")
-    rng = random.Random(ZZ.coerce(seed))
+    seed = ZZ.coerce(seed)
+    rng = random.Random(seed)
     failures = []
     for _ in range(trials):
         a = rng.randint(-10_000, 10_000)

@@ -15,6 +15,7 @@ which builds its ints and QuadInts from the text itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,7 +25,7 @@ from .errors import (
     VerificationError,
     ZeroPolynomialError,
 )
-from .rings import ZZ, IntegerRing, QuadInt, QuadRing, _decimal
+from .rings import NORM_EUCLIDEAN_D, ZZ, IntegerRing, QuadInt, QuadRing, _decimal
 
 CoefficientRing = Union[IntegerRing, QuadRing]
 Element = Union[int, QuadInt]
@@ -229,8 +230,21 @@ def content(p: Poly) -> Element:
 
 
 def is_primitive(p: Poly) -> bool:
-    """True when the content is a unit (tested via the norm over Z[w])."""
-    return p.ring.is_unit(content(p))
+    """True when the content is a unit (tested via the norm over Z[w]).
+
+    Over a whitelisted Z[w] a non-unit common divisor would divide every
+    coefficient's norm, so coprime norms answer True without a gcd. Off the
+    whitelist the content is still taken, so its gcd raises
+    UnsupportedRingError as before.
+    """
+    ring = p.ring
+    if isinstance(ring, QuadRing) and ring.d in NORM_EUCLIDEAN_D:
+        g = 0
+        for c in p.coeffs:
+            g = math.gcd(g, c.norm())
+            if g == 1:
+                return True
+    return ring.is_unit(content(p))
 
 
 def primitive_part(p: Poly) -> tuple[Element, Poly]:
@@ -251,34 +265,77 @@ def pseudo_divide(f: Poly, g: Poly) -> PseudoDivResult:
     u_j = lc(g)*u_j - u_{n+k}*g_{j-k} for j = k, ..., n+k-1. Algorithm R also
     multiplies every u_j with j < k by lc(g) at that step; here the factor is
     deferred and u_k takes all s-1-k of them as one power when it joins the
-    window. The identity lc(g)**s * f == g*q + r is re-checked before
-    returning.
+    window. Over Z[w] the loop runs on the integer coordinates of u. The
+    identity lc(g)**s * f == g*q + r is re-checked before returning.
     """
     f._check_ring(g)
     if not g:
         raise ZeroDivisionError("pseudo-division by the zero polynomial")
     ring = f.ring
-    n = g.degree()
-    s = max(len(f.coeffs) - n, 0)
-    lead = g.coeffs[n]
-    low = g.coeffs[:n]
-    powers = [ring.one]
+    s = max(len(f.coeffs) - g.degree(), 0)
+    if isinstance(ring, QuadRing):
+        multiplier, q, r = _quad_pseudo_divide(f.coeffs, g.coeffs, s, ring)
+    else:
+        multiplier, q, r = _int_pseudo_divide(f.coeffs, g.coeffs, s)
+    quotient = Poly._trusted(q, ring)
+    remainder = Poly._trusted(r, ring)
+    if f * multiplier != g * quotient + remainder:
+        raise VerificationError("pseudo-division identity failed")
+    return PseudoDivResult(multiplier, quotient, remainder, s)
+
+
+def _int_pseudo_divide(f: tuple, g: tuple, s: int) -> tuple[int, list, list]:
+    """Algorithm R over Z: the multiplier lc(g)**s, q and r."""
+    n = len(g) - 1
+    lead = g[n]
+    low = g[:n]
+    powers = [1]
     for _ in range(s):
         powers.append(powers[-1] * lead)
-    u = list(f.coeffs)
-    q = [ring.zero] * s
+    u = list(f)
+    q = [0] * s
     for k in range(s - 1, -1, -1):
         u[k] = u[k] * powers[s - 1 - k]
         c = u[n + k]
         q[k] = c * powers[k]
         for j, d in enumerate(low, k):
             u[j] = lead * u[j] - c * d
-    quotient = Poly._trusted(q, ring)
-    remainder = Poly._trusted(u[:n], ring)
-    multiplier = powers[s]
-    if f * multiplier != g * quotient + remainder:
-        raise VerificationError("pseudo-division identity failed")
-    return PseudoDivResult(multiplier, quotient, remainder, s)
+    return powers[s], q, u[:n]
+
+
+def _quad_pseudo_divide(f: tuple, g: tuple, s: int, ring: QuadRing) -> tuple[QuadInt, list, list]:
+    """Algorithm R over Z[w] on the coordinate lists u_a and u_b of u."""
+    t, m = ring.t, ring.n  # w**2 = t*w + m
+    n = len(g) - 1
+    la, lb = g[n].a, g[n].b
+    # lc(g) * (x + y*w) = (la*x + lm*y) + (lb*x + lt*y)*w
+    lm, lt = m * lb, la + t * lb
+    low = [(d.a, d.b) for d in g[:n]]
+    powers = [(1, 0)]
+    for _ in range(s):
+        x, y = powers[-1]
+        powers.append((la * x + lm * y, lb * x + lt * y))
+    u_a = [c.a for c in f]
+    u_b = [c.b for c in f]
+    q = [None] * s
+    for k in range(s - 1, -1, -1):
+        u_a[k], u_b[k] = _pair_product(u_a[k], u_b[k], *powers[s - 1 - k], t, m)
+        ca, cb = u_a[n + k], u_b[n + k]
+        q[k] = QuadInt(*_pair_product(ca, cb, *powers[k], t, m), ring)
+        # c * (da + db*w) = (ca*da + cm*db) + (cb*da + ct*db)*w
+        cm, ct = m * cb, ca + t * cb
+        for j, (da, db) in enumerate(low, k):
+            x, y = u_a[j], u_b[j]
+            u_a[j] = la * x + lm * y - ca * da - cm * db
+            u_b[j] = lb * x + lt * y - cb * da - ct * db
+    r = [QuadInt(a, b, ring) for a, b in zip(u_a[:n], u_b[:n])]
+    return QuadInt(*powers[s], ring), q, r
+
+
+def _pair_product(a: int, b: int, c: int, e: int, t: int, m: int) -> tuple[int, int]:
+    """Coordinates of (a + b*w)(c + e*w) when w**2 = t*w + m."""
+    be = b * e
+    return a * c + m * be, a * e + b * c + t * be
 
 
 def exact_divide(f: Poly, g: Poly) -> Poly | None:
@@ -286,18 +343,28 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
 
     Leading-coefficient elimination on one list of f's coefficients, with an
     exactness check at every step, independently of pseudo_divide so the two
-    can cross-validate.
+    can cross-validate. Over Z[w] the list is held as integer coordinates and
+    each leading term is divided by lc(g) through conj(lc g) and N(lc g).
     """
     f._check_ring(g)
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
-    n = g.degree()
-    lead = g.coeffs[n]
-    divides = ring.divides
-    terms = [(i, d) for i, d in enumerate(g.coeffs[:n]) if d]
-    r = list(f.coeffs)
-    q = [ring.zero] * (len(r) - n)
+    if isinstance(ring, QuadRing):
+        q = _quad_exact_quotient(f.coeffs, g.coeffs, ring)
+    else:
+        q = _int_exact_quotient(f.coeffs, g.coeffs)
+    return None if q is None else Poly._trusted(q, ring)
+
+
+def _int_exact_quotient(f: tuple, g: tuple) -> list | None:
+    """The coefficients of f / g over Z, or None when g does not divide f."""
+    n = len(g) - 1
+    lead = g[n]
+    divides = ZZ.divides
+    terms = [(i, d) for i, d in enumerate(g[:n]) if d]
+    r = list(f)
+    q = [0] * (len(r) - n)
     for k in range(len(q) - 1, -1, -1):
         c = r[n + k]
         if not c:
@@ -310,7 +377,38 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
             r[k + i] = r[k + i] - c * d
     if any(r[:n]):
         return None
-    return Poly._trusted(q, ring)
+    return q
+
+
+def _quad_exact_quotient(f: tuple, g: tuple, ring: QuadRing) -> list | None:
+    """The coefficients of f / g over Z[w], or None when g does not divide f."""
+    t, m = ring.t, ring.n  # w**2 = t*w + m
+    n = len(g) - 1
+    la, lb = g[n].a, g[n].b
+    ca, cb = la + t * lb, -lb  # conj(lc g)
+    norm = la * ca + m * lb * cb  # N(lc g)
+    terms = [(i, d.a, d.b) for i, d in enumerate(g[:n]) if d]
+    r_a = [c.a for c in f]
+    r_b = [c.b for c in f]
+    q = [ring.zero] * (len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        a, b = r_a[n + k], r_b[n + k]
+        if not (a or b):
+            continue
+        x, y = _pair_product(a, b, ca, cb, t, m)
+        qa, ra = divmod(x, norm)
+        qb, rb = divmod(y, norm)
+        if ra or rb:
+            return None
+        q[k] = QuadInt(qa, qb, ring)
+        # q_k * (da + db*w) = (qa*da + qm*db) + (qb*da + qt*db)*w
+        qm, qt = m * qb, qa + t * qb
+        for i, da, db in terms:
+            r_a[k + i] -= qa * da + qm * db
+            r_b[k + i] -= qb * da + qt * db
+    if any(r_a[:n]) or any(r_b[:n]):
+        return None
+    return q
 
 
 def field_divide(f: Poly, g: Poly) -> tuple[Element, Poly] | None:

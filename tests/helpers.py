@@ -72,6 +72,10 @@ def brute_is_prime(n: int) -> bool:
 
 TEST_QUAD_DS = (-1, -3, 5)
 
+# Eight norm-Euclidean fields, imaginary and real, with t = 0 and t = 1, and
+# two rings without a gcd: -5 and 999997 = 757 * 1321 = 1 (mod 4).
+KERNEL_QUAD_DS = (-1, -3, -7, -11, 2, 3, 5, 73, -5, 999_997)
+
 
 # --- reference division loops ---------------------------------------------
 #
@@ -326,9 +330,10 @@ def evaluate_reference(p: Poly, point):
 # --- reference Z[w] arithmetic on whole QuadInts --------------------------------
 #
 # The QuadInt versions of the kernels that now run on integer coordinates:
-# the gcd descent, the generic schoolbook product and exact division by
-# conjugate and norm. The library must return the same coordinates, that is
-# the same associate, not just an associate.
+# the gcd descent, the generic schoolbook product, exact division by
+# conjugate and norm, and the two polynomial division loops. The library must
+# return the same coordinates, that is the same associate, not just an
+# associate.
 
 
 def reduction_step_reference(x: QuadInt, y: QuadInt) -> QuadInt:
@@ -396,6 +401,62 @@ def divides_reference(x: QuadInt, other) -> QuadInt | None:
     if num.a % n or num.b % n:
         return None
     return QuadInt(num.a // n, num.b // n, x.ring)
+
+
+def pseudo_divide_reference(f: Poly, g: Poly) -> PseudoDivResult:
+    """Algorithm R on one list of whole ring elements, with deferred powers."""
+    f._check_ring(g)
+    if not g:
+        raise ZeroDivisionError("pseudo-division by the zero polynomial")
+    ring = f.ring
+    n = g.degree()
+    s = max(len(f.coeffs) - n, 0)
+    lead = g.coeffs[n]
+    low = g.coeffs[:n]
+    powers = [ring.one]
+    for _ in range(s):
+        powers.append(powers[-1] * lead)
+    u = list(f.coeffs)
+    q = [ring.zero] * s
+    for k in range(s - 1, -1, -1):
+        u[k] = u[k] * powers[s - 1 - k]
+        c = u[n + k]
+        q[k] = c * powers[k]
+        for j, d in enumerate(low, k):
+            u[j] = lead * u[j] - c * d
+    quotient = Poly._trusted(q, ring)
+    remainder = Poly._trusted(u[:n], ring)
+    multiplier = powers[s]
+    if f * multiplier != g * quotient + remainder:
+        raise VerificationError("pseudo-division identity failed")
+    return PseudoDivResult(multiplier, quotient, remainder, s)
+
+
+def exact_divide_reference(f: Poly, g: Poly) -> Poly | None:
+    """Leading-coefficient elimination on one list of whole ring elements."""
+    f._check_ring(g)
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    ring = f.ring
+    n = g.degree()
+    lead = g.coeffs[n]
+    divides = ring.divides
+    terms = [(i, d) for i, d in enumerate(g.coeffs[:n]) if d]
+    r = list(f.coeffs)
+    q = [ring.zero] * (len(r) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[n + k]
+        if not c:
+            continue
+        c = divides(lead, c)
+        if c is None:
+            return None
+        q[k] = c
+        for i, d in terms:
+            r[k + i] = r[k + i] - c * d
+    if any(r[:n]):
+        return None
+    return Poly._trusted(q, ring)
 
 
 def cheb_pairs_reference(n_max: int):

@@ -1,9 +1,10 @@
 """The list division kernel and the trusted constructor behind Poly arithmetic.
 
 Division answers are checked bit for bit against independent oracles: sympy
-over Z, and over Z[w] the allocating Poly loops kept in helpers. The boundary
-tests pin down that validation still happens where coefficients enter, and
-that every arithmetic result comes out normalised.
+over Z, and over Z[w] the allocating Poly loops and the QuadInt list loops
+kept in helpers; certify verdicts over Z[w] are checked by sympy over
+Q(sqrt d). The boundary tests pin down that validation still happens where
+coefficients enter, and that every arithmetic result comes out normalised.
 """
 
 import random
@@ -14,15 +15,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dringkit import (
+    NORM_EUCLIDEAN_D,
     Poly,
     QuadRing,
     RingMismatchError,
     VerificationError,
     ZZ,
+    certify_divisibility,
     exact_divide,
+    is_primitive,
     pseudo_divide,
 )
-from helpers import oracle_exact_divide, oracle_pseudo_divide, product_reference, rand_poly
+from helpers import (
+    KERNEL_QUAD_DS,
+    exact_divide_reference,
+    oracle_exact_divide,
+    oracle_pseudo_divide,
+    product_reference,
+    pseudo_divide_reference,
+    rand_poly,
+)
 
 ORACLE_QUAD_DS = (-1, -3, 5, 2)
 
@@ -135,6 +147,93 @@ def test_exact_divide_matches_the_reference_loop_over_zw(d, gc, qc, rc, exact):
         assert same_poly(result, oracle)
         if exact:
             assert result == quad_poly(qc, ring)
+
+
+# Over Z[w] both kernels run on integer coordinates; their QuadInt loops in
+# helpers are the oracle, and must agree coordinate for coordinate.
+KERNEL_RINGS = tuple(QuadRing(d) for d in KERNEL_QUAD_DS)
+kernel_coords = st.just(0) | st.integers(-10**6, 10**6)
+
+
+@st.composite
+def kernel_poly(draw, ring, max_deg):
+    """A polynomial over ring, zero or of degree up to max_deg."""
+    size = draw(st.integers(0, max_deg + 1))
+    pairs = draw(st.lists(st.tuples(kernel_coords, kernel_coords), min_size=size, max_size=size))
+    return quad_poly(pairs, ring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pseudo_divide_matches_the_quadint_loop(data):
+    ring = data.draw(st.sampled_from(KERNEL_RINGS), label="ring")
+    f = data.draw(kernel_poly(ring, 40), label="f")
+    g = data.draw(kernel_poly(ring, 40), label="g")
+    assume(g)
+    assert same_pseudo(pseudo_divide(f, g), pseudo_divide_reference(f, g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), exact=st.booleans())
+def test_exact_divide_matches_the_quadint_loop(data, exact):
+    ring = data.draw(st.sampled_from(KERNEL_RINGS), label="ring")
+    g = data.draw(kernel_poly(ring, 20), label="g")
+    assume(g)
+    q = data.draw(kernel_poly(ring, 20), label="q")
+    f = g * q
+    if not exact:
+        f = f + data.draw(kernel_poly(ring, 40), label="r")
+    result, oracle = exact_divide(f, g), exact_divide_reference(f, g)
+    assert (result is None) == (oracle is None)
+    if result is not None:
+        assert same_poly(result, oracle)
+    if exact:
+        assert same_poly(result, q)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_exact_divide_checks_both_coordinates(ring):
+    # lc(g) = 2 has conjugate 2 and norm 4: (2 + w)*2 has a-part 4, divisible
+    # by 4, and b-part 2, which is not; with a constant divisor no leftover
+    # coefficient is left to catch a quotient that only one part allowed.
+    g = Poly.constant(2, ring)
+    for f in (Poly.constant(ring.element(2, 1), ring), Poly.constant(ring.element(1, 2), ring)):
+        assert exact_divide(f, g) is None
+        assert exact_divide_reference(f, g) is None
+
+
+CERTIFY_DS = tuple(d for d in KERNEL_QUAD_DS if d in NORM_EUCLIDEAN_D)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.sampled_from(CERTIFY_DS),
+    gc=quad_coeffs(4),
+    qc=quad_coeffs(4),
+    rc=quad_coeffs(4),
+    exact=st.booleans(),
+)
+def test_certify_verdict_matches_sympy_over_the_number_field(d, gc, qc, rc, exact):
+    # For primitive g over a UFD, g | f in Z[w][x] exactly when g | f in
+    # K[x], K = Q(sqrt d) (Gauss's lemma); sympy decides the latter.
+    sympy = pytest.importorskip("sympy")
+    ring = QuadRing(d)
+    g = quad_poly(gc, ring)
+    assume(g and g.degree() >= 1 and is_primitive(g))
+    f = g * quad_poly(qc, ring)
+    if not exact:
+        f = f + quad_poly(rc, ring)
+    field = sympy.QQ.algebraic_field(sympy.sqrt(d))
+    root = field.from_sympy(sympy.sqrt(d))
+    w = (field.one + root) / field(2) if d % 4 == 1 else root
+    x = sympy.Symbol("x")
+
+    def over_field(p):
+        coeffs = [field(c.a) + field(c.b) * w for c in reversed(p.coeffs)]
+        return sympy.Poly.from_list(coeffs or [field.zero], x, domain=field)
+
+    divides = over_field(f).rem(over_field(g)).is_zero
+    assert (certify_divisibility(f, g).verdict == "DIVIDES") == divides
 
 
 def test_kernels_match_the_reference_loops_on_long_inputs():

@@ -331,6 +331,12 @@ def test_zw_unit_demo_rejects_nonpositive_trials():
         zw_unit_demo(0)
 
 
+def test_zw_unit_demo_stores_plain_ints():
+    report = zw_unit_demo(True, True)
+    assert type(report.trials) is int and type(report.seed) is int
+    assert report == zw_unit_demo(1, 1)
+
+
 def test_zw_unit_demo_refuses_a_float_seed():
     with pytest.raises(TypeError, match="exact integer required, got float"):
         zw_unit_demo(3, seed=1.5)

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dringkit import (
+    NORM_EUCLIDEAN_D,
     Poly,
     QuadInt,
     QuadRing,
     RingMismatchError,
+    UnsupportedRingError,
     ZZ,
     content,
     exact_divide,
@@ -21,6 +23,7 @@ from dringkit import (
     ZeroPolynomialError,
 )
 from helpers import (
+    KERNEL_QUAD_DS,
     TEST_QUAD_DS,
     evaluate_reference,
     product_reference,
@@ -92,7 +95,7 @@ def test_degree_is_additive_under_product():
 
 # Over Z[w] the product runs four integer schoolbook products on the
 # coordinates; helpers.product_reference multiplies whole ring elements.
-PRODUCT_RINGS = (ZZ,) + tuple(QuadRing(d) for d in (-1, -3, -7, -11, 2, 3, 5, 73, -5, 999_997))
+PRODUCT_RINGS = (ZZ,) + tuple(QuadRing(d) for d in KERNEL_QUAD_DS)
 product_coords = st.just(0) | st.integers(-10**30, 10**30)
 
 
@@ -202,6 +205,39 @@ def test_is_primitive_examples():
     assert is_primitive(Poly((0, 1)))
     assert not is_primitive(Poly((2, 2)))
     assert is_primitive(P4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from(sorted(NORM_EUCLIDEAN_D)),
+    pairs=st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=6),
+    scale=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+)
+def test_is_primitive_agrees_with_the_content_over_zw(d, pairs, scale):
+    # Scaling by a random element makes many inputs non-primitive, so both
+    # answers are drawn, also where the norms share a factor.
+    ring = QuadRing(d)
+    p = Poly([ring.element(a, b) for a, b in pairs], ring) * ring.element(*scale)
+    if not p:
+        with pytest.raises(ZeroPolynomialError):
+            is_primitive(p)
+        return
+    assert is_primitive(p) == ring.is_unit(content(p))
+
+
+def test_is_primitive_off_the_whitelist_still_needs_a_gcd():
+    # Coprime norms (6 and 1) would answer True; off the norm-Euclidean
+    # whitelist the answer stays the gcd's UnsupportedRingError.
+    ring = QuadRing(-5)
+    p = Poly((ring.element(1, 1), ring.one), ring)
+    with pytest.raises(UnsupportedRingError) as raised:
+        content(p)
+    with pytest.raises(UnsupportedRingError) as also_raised:
+        is_primitive(p)
+    assert str(also_raised.value) == str(raised.value)
+    for d in (-1, -5):
+        with pytest.raises(ZeroPolynomialError):
+            is_primitive(Poly.zero(QuadRing(d)))
 
 
 def test_primitive_part_examples():
