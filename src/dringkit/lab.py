@@ -29,6 +29,8 @@ from .rings import ZZ, WRational, primes_up_to
 
 DEFAULT_WINDOW = 20
 GROWTH_SCAN_CAP = 10**6
+# sf_search finds the least roots of every prime up to here in one scan.
+_SCAN_PRIMES_UP_TO = 2**14
 DEFAULT_DEMO_SEED = 1729
 W_PRIMES_UNDER_100 = (2, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
@@ -193,14 +195,26 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
     """All primes p <= prime_limit at which f has a root mod p, with the least
     root each, in ascending prime order.
 
-    Each prime is handled in F_p[x]: f mod p is made monic, x^p mod f is found
-    by square-and-multiply, and h = gcd(f, x^p - x) is the product of the
-    distinct linear factors of f. If deg h >= 1, h is split by equal-degree
-    factorisation with gcd(h, (x + a)^((p-1)/2) - 1) for the fixed shifts
-    a = 1, 2, 3, ... (mod p), so no randomness is involved, and the least of
-    its roots is reported. The cost is about pi(L) * deg^2 * log L operations
-    mod p for L = prime_limit. Every root is re-verified in full precision
-    before being recorded.
+    The primes up to _SCAN_PRIMES_UP_TO (2^14) are found together by one scan
+    of f(0), f(1), ... against the product of the primes still unresolved
+    (_least_roots_by_scan): at most p_max gcds against a product of at most
+    about 1.44 * p_max bits, so the cost grows with the square of the largest
+    prime scanned, with no polynomial arithmetic per prime.
+
+    Each prime above the threshold is handled alone in F_p[x]: f mod p is
+    made monic, x^p mod f is found by square-and-multiply, and
+    h = gcd(f, x^p - x) is the product of the distinct linear factors of f.
+    If deg h >= 1, h is split by equal-degree factorisation with
+    gcd(h, (x + a)^((p-1)/2) - 1) for the fixed shifts a = 1, 2, 3, ...
+    (mod p), so no randomness is involved, and the least of its roots is
+    reported. That costs about deg^2 * log p operations mod p per prime,
+    linear in pi(L) for L = prime_limit. The threshold lies below the
+    measured crossover of the two paths, and it keeps the quadratic scan
+    away from large limits (the CLI allows up to 10^6), where it would
+    dominate the cost.
+
+    Every root, from either path, is re-verified in full precision before
+    being recorded.
     """
     if f.ring != ZZ:
         raise UnsupportedRingError("the prime search runs over integer polynomials")
@@ -208,9 +222,11 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
         raise ConstantPolynomialError("the prime search needs a nonconstant polynomial")
     if ZZ.coerce(prime_limit) < 2:
         raise ValueError("prime_limit must be at least 2")
+    primes = primes_up_to(prime_limit)
+    scanned = _least_roots_by_scan(f.coeffs, [p for p in primes if p <= _SCAN_PRIMES_UP_TO])
     records = []
-    for p in primes_up_to(prime_limit):
-        k = _least_root_mod(f.coeffs, p)
+    for p in primes:
+        k = scanned.get(p) if p <= _SCAN_PRIMES_UP_TO else _least_root_mod(f.coeffs, p)
         if k is not None:
             if f.evaluate(k) % p:
                 raise VerificationError(
@@ -218,6 +234,40 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
                 )
             records.append(PrimeSolvabilityRecord(p, k))
     return records
+
+
+def _least_roots_by_scan(coeffs: Sequence[int], primes: Sequence[int]) -> dict[int, int]:
+    """Least root in [0, p) of the integer polynomial with these ascending
+    coefficients modulo each of the primes that has one.
+
+    Evaluates f(k) exactly at k = 0, 1, 2, ... and takes gcd(f(k), pending),
+    where pending is the product of the primes neither hit nor passed yet.
+    If p divides f(k) for some k >= p, it divides f(k mod p), so a prime's
+    first hit is its least root, and a prime that k reaches unhit has no root
+    and leaves pending. A gcd that is not prime (f(k) == 0, or two primes
+    sharing a least root) is split over the primes; every prime it holds is
+    still pending, so greater than k.
+    """
+    roots = {}
+    pending = math.prod(primes)
+    unresolved = set(primes)
+    descending = coeffs[::-1]
+    k = 0
+    while pending > 1:
+        value = 0
+        for c in descending:
+            value = value * k + c
+        g = math.gcd(value, pending)
+        if g > 1:
+            pending //= g
+            for p in [g] if g in unresolved else [p for p in unresolved if not g % p]:
+                roots[p] = k
+                unresolved.remove(p)
+        k += 1
+        if k in unresolved:
+            pending //= k
+            unresolved.remove(k)
+    return roots
 
 
 # --- F_p[x] on ascending int lists, for sf_search ---------------------------

@@ -134,8 +134,9 @@ def oracle_exact_divide(f: Poly, g: Poly) -> Poly | None:
 # --- reference prime search ---------------------------------------------------
 #
 # The exhaustive residue scan that sf_search replaced: Horner evaluation of
-# every residue of every prime, O(sum of p * deg). The F_p[x] root finder must
-# reproduce its records exactly.
+# every residue of every prime, O(sum of p * deg). Both of sf_search's root
+# finders, the gcd scan of f(0), f(1), ... up to 2^14 and F_p[x] above it,
+# must reproduce its records exactly.
 
 
 def sf_search_scan(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:

@@ -314,7 +314,7 @@ def test_running_out_of_memory_while_printing_exits_two(capsys, monkeypatch):
 
 
 def test_a_failed_root_recheck_exits_two_with_one_line(capsys, monkeypatch):
-    monkeypatch.setattr(lab, "_least_root_mod", lambda coeffs, p: 1)
+    monkeypatch.setattr(lab, "_least_roots_by_scan", lambda coeffs, primes: {p: 1 for p in primes})
     code, out, err = run(capsys, "sf", "x^2+1", "--limit", "30")
     assert code == 2
     assert out == ""

@@ -475,9 +475,38 @@ def test_lab_entry_points_refuse_a_float_before_any_work(monkeypatch, run):
 
 
 def test_sf_search_rejects_a_root_that_fails_the_exact_recheck(monkeypatch):
-    monkeypatch.setattr(lab, "_least_root_mod", lambda coeffs, p: 1)
+    monkeypatch.setattr(lab, "_least_roots_by_scan", lambda coeffs, primes: {p: 1 for p in primes})
     with pytest.raises(VerificationError, match="exact recheck"):
         sf_search(parse_poly("x^2 + 1"), 7)
+
+
+def test_sf_search_rechecks_the_roots_found_one_prime_at_a_time(monkeypatch):
+    # 16411 is the least prime above the scan's threshold of 2^14
+    monkeypatch.setattr(lab, "_least_root_mod", lambda coeffs, p: 1)
+    with pytest.raises(VerificationError, match="exact recheck at p = 16411"):
+        sf_search(parse_poly("x^2 + 1"), 16411)
+
+
+def test_sf_search_scans_only_the_primes_up_to_the_threshold(monkeypatch):
+    # The scan's cost is quadratic in its largest prime, so the primes above
+    # 2^14 must go one at a time through F_p[x], up to any limit.
+    scanned, one_at_a_time = [], []
+    scan, least_root_mod = lab._least_roots_by_scan, lab._least_root_mod
+
+    def spy_scan(coeffs, primes):
+        scanned.extend(primes)
+        return scan(coeffs, primes)
+
+    def spy_least_root_mod(coeffs, p):
+        one_at_a_time.append(p)
+        return least_root_mod(coeffs, p)
+
+    monkeypatch.setattr(lab, "_least_roots_by_scan", spy_scan)
+    monkeypatch.setattr(lab, "_least_root_mod", spy_least_root_mod)
+    sf_search(parse_poly("x^2 + 1"), 20000)
+    primes = primes_up_to(20000)
+    assert scanned == [p for p in primes if p <= 2**14]
+    assert one_at_a_time == [p for p in primes if p > 2**14]
 
 
 def test_certify_rejects_a_quotient_that_fails_re_expansion(monkeypatch):
@@ -491,7 +520,7 @@ def test_the_root_recheck_survives_python_dash_o():
         "import dringkit.lab as lab\n"
         "from dringkit import VerificationError, parse_poly\n"
         "assert False, 'assert statements must be stripped here'\n"
-        "lab._least_root_mod = lambda coeffs, p: 1\n"
+        "lab._least_roots_by_scan = lambda coeffs, primes: {p: 1 for p in primes}\n"
         "try:\n"
         "    lab.sf_search(parse_poly('x^2 + 1'), 7)\n"
         "except VerificationError:\n"

@@ -1,8 +1,10 @@
-"""The F_p[x] root finder behind sf_search.
+"""The two root finders behind sf_search: one gcd scan of f(0), f(1), ...
+for the primes up to 2^14, and F_p[x] for each prime above.
 
-Records are checked against the exhaustive residue scan kept in helpers, the
-least roots against sympy's polynomial congruence solver, and three long
-searches against digests of the scan's output.
+Records from both paths are checked against the exhaustive residue scan kept
+in helpers, the scan against the F_p[x] finder, the F_p[x] least roots
+against sympy's polynomial congruence solver, and three searches that
+straddle the threshold against digests of the residue scan's output.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dringkit import Poly, parse_poly, primes_up_to, sf_search
-from dringkit.lab import _least_root_mod
+from dringkit.lab import _least_root_mod, _least_roots_by_scan
 from helpers import sf_search_scan
 
 COEFF_BOUND = 10**6
@@ -59,6 +61,37 @@ def test_edge_cases(text, p, expected):
     f = parse_poly(text)
     assert _least_root_mod(f.coeffs, p) == expected
     assert sf_search(f, p) == sf_search_scan(f, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=int_polys(), limit=st.integers(min_value=2, max_value=2000))
+def test_the_scan_matches_the_root_finder_prime_by_prime(f, limit):
+    primes = primes_up_to(limit)
+    expected = {p: _least_root_mod(f.coeffs, p) for p in primes}
+    assert _least_roots_by_scan(f.coeffs, primes) == {
+        p: k for p, k in expected.items() if k is not None
+    }
+
+
+@pytest.mark.parametrize(
+    "text, limit, expected",
+    [
+        # an integer root: f(2) = 0 hits every prime still unresolved at once
+        ("x^2 - 5x + 6", 30, {2: 0, 3: 0, 5: 2, 7: 2, 11: 2, 13: 2, 17: 2,
+                              19: 2, 23: 2, 29: 2}),
+        # two primes share a least root: f(9) = 731 = 17 * 43
+        ("x^3 + 2", 43, {2: 0, 3: 1, 5: 2, 11: 4, 17: 9, 23: 7, 29: 3, 31: 11,
+                         41: 36, 43: 9}),
+        ("6x + 3", 7, {3: 0, 5: 2, 7: 3}),     # 3 divides every coefficient
+        ("3x^2 + x + 1", 5, {3: 2, 5: 1}),     # 3 divides only the leading one
+        ("x", 11, {2: 0, 3: 0, 5: 0, 7: 0, 11: 0}),
+        ("x^2 + 1", 2, {2: 1}),                # limit 2
+        ("x^2 + x + 1", 2, {}),
+    ],
+)
+def test_scan_edge_cases(text, limit, expected):
+    coeffs = parse_poly(text).coeffs
+    assert _least_roots_by_scan(coeffs, primes_up_to(limit)) == expected
 
 
 def test_least_roots_match_sympy():
