@@ -251,6 +251,8 @@ def _cmd_zwdemo(args) -> tuple[dict, list[str], bool]:
         "seed": _decimal(report.seed),
         "passes": _decimal(report.passes),
         "failures": failures,
+        "certified": _decimal(report.certified),
+        "trial_division": _decimal(report.trial_division),
     }
     lines = [
         f"trials: {payload['trials']}  passes: {payload['passes']}  "

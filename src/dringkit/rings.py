@@ -465,6 +465,11 @@ class WRational:
 
     Construction normalizes the sign into the numerator, divides out the gcd,
     and trial-divides the reduced denominator to validate membership.
+
+    Arithmetic does not re-check: the denominator of a sum, difference or
+    product divides the product of two valid denominators, so every prime
+    factor of it is already 2 or 1 mod 4. Results are built by _trusted, which
+    keeps the gcd reduction and the cap and skips the trial division.
     """
 
     num: int
@@ -487,6 +492,24 @@ class WRational:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _trusted(cls, num: int, den: int) -> "WRational":
+        """num/den in lowest terms, for ints num and den > 0 where every prime
+        factor of den is already known to be 2 or 1 mod 4.
+
+        Skips the trial division of `__post_init__`; the gcd reduction and the
+        cap on the reduced denominator stay.
+        """
+        g = math.gcd(num, den)
+        num //= g
+        den //= g
+        if den > _MAX_W_DENOMINATOR:
+            raise ValueError(f"reduced denominator exceeds {_MAX_W_DENOMINATOR}")
+        x = object.__new__(cls)
+        object.__setattr__(x, "num", num)
+        object.__setattr__(x, "den", den)
+        return x
+
     def _coerce(self, other):
         if isinstance(other, WRational):
             return other
@@ -498,7 +521,7 @@ class WRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return WRational(self.num * other.den + other.num * self.den, self.den * other.den)
+        return WRational._trusted(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -506,19 +529,19 @@ class WRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return WRational(self.num * other.den - other.num * self.den, self.den * other.den)
+        return WRational._trusted(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return WRational(-self.num, self.den)
+        return WRational._trusted(-self.num, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return WRational(self.num * other.num, self.den * other.den)
+        return WRational._trusted(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -397,10 +397,12 @@ def test_zwdemo_default_seed(capsys, monkeypatch):
     code, payload = run_json(capsys, "zwdemo", "--trials", "20")
     assert code == 0
     assert payload == {
+        "certified": "20",
         "command": "zwdemo",
         "failures": [],
         "passes": "20",
         "seed": str(lab.DEFAULT_DEMO_SEED),
+        "trial_division": "0",
         "trials": "20",
     }
 
@@ -418,10 +420,12 @@ def test_zwdemo_reports_a_counterexample_and_exits_one(capsys, monkeypatch):
     code, payload = run_json(capsys, "zwdemo", "--trials", "2", "--seed", "11")
     assert code == 1
     assert payload == {
+        "certified": "0",
         "command": "zwdemo",
         "failures": [{"argument": "3/1", "value": "10/1"}],
         "passes": "1",
         "seed": "11",
+        "trial_division": "0",
         "trials": "2",
     }
 
