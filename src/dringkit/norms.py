@@ -90,12 +90,13 @@ def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferRep
         raise ZeroDivisionError("the divisor polynomial is zero")
     dividend_norm = norm_poly(f)
     divisor_norm = norm_poly(g)
+    points = sorted(set(ZZ.coerce(b) for b in samples))
+    gvals, fvals = g.values(points), f.values(points)
+    gnorms, fnorms = divisor_norm.values(points), dividend_norm.values(points)
     records = []
-    for point in sorted(set(ZZ.coerce(b) for b in samples)):
-        gval = g.evaluate(point)
-        fval = f.evaluate(point)
-        gnorm = divisor_norm.evaluate(point)
-        fnorm = dividend_norm.evaluate(point)
+    for point in points:
+        gval, fval = gvals[point], fvals[point]
+        gnorm, fnorm = gnorms[point], fnorms[point]
         if gnorm != gval.norm() or fnorm != fval.norm():
             raise VerificationError("norm evaluation disagreed with elementwise norm")
         element_divides = norm_divides = None

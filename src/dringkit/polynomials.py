@@ -161,6 +161,27 @@ class Poly:
 
     __call__ = evaluate
 
+    def values(self, points) -> dict:
+        """The value at every point, keyed by the point coerced into the ring.
+
+        Each point is coerced before any set or dict sees it, so a float
+        raises TypeError even when an equal int is also asked for. Where both
+        k and -k are asked for, one Horner pass at k*k over the even and odd
+        coefficients gives p(k) and p(-k) as E(k*k) + k*O(k*k) and
+        E(k*k) - k*O(k*k) (Knuth, TAOCP vol. 2, section 4.6.4); over Z[w] it
+        runs on the integer coordinates. Every other point goes through
+        `evaluate`.
+        """
+        ring = self.ring
+        points = [int(k) if isinstance(k, int) else ring.coerce(k) for k in points]
+        wanted = set(points)
+        paired = sorted(k for k in wanted if isinstance(k, int) and k > 0 and -k in wanted)
+        out = _plus_minus_values(self.coeffs, ring, paired) if paired else {}
+        for k in points:
+            if k not in out:
+                out[k] = self.evaluate(k)
+        return out
+
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -178,6 +199,52 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _even_odd(coeffs) -> list[tuple]:
+    """(c_2i, c_2i+1) pairs of ascending int coefficients from the top pair
+    down; the odd one is 0 past the end."""
+    pairs = list(zip(coeffs[0::2], coeffs[1::2]))
+    if len(coeffs) % 2:
+        pairs.append((coeffs[-1], 0))
+    pairs.reverse()
+    return pairs
+
+
+def _plus_minus_values(coeffs: tuple, ring: CoefficientRing, ks: list[int]) -> dict:
+    """p(k) and p(-k) for each positive int k, from one Horner pass at k*k
+    on the even and odd parts (see Poly.values)."""
+    out = {}
+    if isinstance(ring, QuadRing):
+        rows = [
+            (ea, eb, oa, ob)
+            for (ea, oa), (eb, ob) in zip(
+                _even_odd([c.a for c in coeffs]), _even_odd([c.b for c in coeffs])
+            )
+        ]
+        for k in ks:
+            y = k * k
+            ea = eb = oa = ob = 0
+            for ca, cb, da, db in rows:
+                ea = ea * y + ca
+                eb = eb * y + cb
+                oa = oa * y + da
+                ob = ob * y + db
+            oa, ob = k * oa, k * ob
+            out[k] = QuadInt(ea + oa, eb + ob, ring)
+            out[-k] = QuadInt(ea - oa, eb - ob, ring)
+        return out
+    rows = _even_odd(coeffs)
+    for k in ks:
+        y = k * k
+        e = o = 0
+        for c, d in rows:
+            e = e * y + c
+            o = o * y + d
+        o = k * o
+        out[k] = e + o
+        out[-k] = e - o
+    return out
 
 
 def _int_product(a, b) -> list[int]:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 from dringkit import (
     ChebPair,
+    EmptySampleSetError,
+    EvalDivReport,
     NORM_EUCLIDEAN_D,
     Poly,
     PolyParseError,
@@ -326,6 +328,34 @@ def evaluate_reference(p: Poly, point):
     for c in reversed(p.coeffs):
         acc = acc * point + c
     return acc
+
+
+# --- reference pointwise divisibility -------------------------------------------
+#
+# The per-point loop that eval_divisibility replaced: g and then f evaluated
+# at each sample in turn, with no pairing of k and -k. The library must build
+# the same EvalDivReport, failures and their order included.
+
+
+def eval_divisibility_reference(f: Poly, g: Poly, samples) -> EvalDivReport:
+    f._check_ring(g)
+    if not g:
+        raise ZeroDivisionError("the divisor polynomial is zero")
+    points = list(samples)
+    if not points:
+        raise EmptySampleSetError("need at least one sample point")
+    vacuous = 0
+    failures = []
+    for k in points:
+        gval = g.evaluate(k)
+        if not gval:
+            vacuous += 1
+            continue
+        fval = f.evaluate(k)
+        if f.ring.divides(gval, fval) is None:
+            failures.append((k, gval, fval))
+    verdict = "ALL_DIVIDE" if not failures else "FAILED"
+    return EvalDivReport(len(points), vacuous, tuple(failures), verdict)
 
 
 # --- reference Z[w] arithmetic on whole QuadInts --------------------------------

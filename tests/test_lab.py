@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from dringkit import (
+    ChebPair,
     ConstantDivisorError,
     ConstantPolynomialError,
     EmptySampleSetError,
@@ -18,6 +19,7 @@ from dringkit import (
     SearchPreconditionError,
     UnsupportedRingError,
     VerificationError,
+    ZZ,
     ZeroInputError,
     certify_divisibility,
     cheb_certify,
@@ -33,7 +35,13 @@ from dringkit import (
     zw_unit_demo,
 )
 from dringkit import lab
-from helpers import brute_is_prime, cheb_pairs_reference
+from helpers import (
+    brute_is_prime,
+    cheb_pairs_reference,
+    eval_divisibility_reference,
+    rand_nonzero_coeff,
+    rand_poly,
+)
 
 FERMAT_F = parse_poly("x^5 - x")
 FIVE = parse_poly("5")
@@ -89,6 +97,47 @@ def test_eval_divisibility_rejects_bad_inputs():
         eval_divisibility(Poly((1,)), Poly(()), [1])
     with pytest.raises(EmptySampleSetError):
         eval_divisibility(Poly((1,)), Poly((1, 1)), [])
+
+
+# eval_divisibility takes its values from Poly.values, which pairs k with -k;
+# helpers.eval_divisibility_reference evaluates g and f point by point.
+@pytest.mark.parametrize("d", [None, -1, -3, 5, 73], ids=lambda d: "Z" if d is None else f"d={d}")
+def test_eval_divisibility_matches_the_per_point_loop(d):
+    ring = ZZ if d is None else QuadRing(d)
+    rng = random.Random(f"eval_divisibility {d}")
+    seen = {"vacuous": 0, "failures": 0, "duplicates": 0}
+    for _ in range(60):
+        roots = [rng.randint(-6, 6) for _ in range(rng.randint(0, 2))]
+        g = rand_poly(rng, ring, 0, 3, bound=5)
+        for r in roots:
+            g = g * Poly((-r, 1), ring)
+        q = rand_poly(rng, ring, 0, 4, bound=5)
+        f = rng.choice((
+            g * q,
+            g * q + Poly.constant(rand_nonzero_coeff(rng, ring, 3), ring),
+            rand_poly(rng, ring, 0, 8),
+        ))
+        m = rng.choice((3, 8, 20))
+        samples = list(range(rng.choice((-m, 0, m // 2)), m + 1))
+        samples += roots + rng.choices(range(-m, m + 1), k=5)
+        if ring != ZZ:
+            samples += [ring.element(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+        rng.shuffle(samples)
+        report = eval_divisibility(f, g, samples)
+        assert report == eval_divisibility_reference(f, g, samples)
+        seen["vacuous"] += report.vacuous > 0
+        seen["failures"] += bool(report.failures)
+        seen["duplicates"] += len(set(samples)) < len(samples)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("samples", [[2, 2.0], [2.0, 2]], ids=["int-first", "float-first"])
+def test_a_float_sample_is_refused_next_to_an_equal_int(samples):
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        eval_divisibility(FERMAT_F, FIVE, samples)
+    ring = QuadRing(-1)
+    with pytest.raises(TypeError, match="cannot interpret float"):
+        eval_divisibility(Poly((1, 1), ring), Poly((1,), ring), samples)
 
 
 # --- certify_divisibility ---------------------------------------------------
@@ -414,6 +463,32 @@ def test_cheb_certify_rejects_index_zero():
         cheb_certify(0)
 
 
+def test_cheb_certify_refuses_a_float_next_to_an_equal_int():
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        cheb_certify(3, [1, 1.0])
+
+
+def test_cheb_certificate_matches_the_certified_long_division():
+    # The slow path: exact_divide of q_2n by p_n, re-expanded, in
+    # certify_divisibility, on pairs built by the coupled recurrences.
+    pairs = list(cheb_pairs_reference(160))
+    for n in range(1, 81):
+        certificate = cheb_certify(n, range(-2, 3)).certificate
+        assert certificate == certify_divisibility(pairs[2 * n].q, pairs[n].p), n
+
+
+def test_a_wrong_named_quotient_fails_re_expansion(monkeypatch):
+    built = lab._cheb_pair
+
+    def off_by_one(n):
+        pair = built(n)
+        return ChebPair(n, pair.p, pair.q + Poly.one())
+
+    monkeypatch.setattr(lab, "_cheb_pair", off_by_one)
+    with pytest.raises(VerificationError, match="certified quotient failed re-expansion"):
+        cheb_certify(5)
+
+
 def test_cheb_certify_holds_only_the_pairs_it_uses():
     # Keeping every pair up to 2n took 6.7 MB at n = 200 (about n^3 growth)
     tracemalloc.start()
@@ -428,8 +503,8 @@ def test_cheb_certify_holds_only_the_pairs_it_uses():
 
 @pytest.mark.parametrize("run, degrees", [
     (lambda: cheb_generate(7), [1, 2, 3, 4, 5, 6, 7]),
-    # only p_5 is built; certify_divisibility checks its divisor once more
-    (lambda: cheb_certify(5, range(-3, 4)), [5, 5]),
+    # only p_5 is built, and checked once: the certificate's quotient is named
+    (lambda: cheb_certify(5, range(-3, 4)), [5]),
 ], ids=["cheb_generate", "cheb_certify"])
 def test_every_p_n_is_checked_for_primitivity(monkeypatch, run, degrees):
     original = lab.is_primitive

@@ -182,6 +182,67 @@ def test_evaluation_at_a_ring_element_matches_the_reference(p, ab):
     assert (value.a, value.b) == (expected.a, expected.b)
 
 
+# Poly.values pairs k with -k in one Horner pass on the even and odd parts;
+# Poly.evaluate, one point at a time, is its oracle. Over Z[w] a QuadInt
+# point with b == 0 equals the int a, so the two may share a key.
+VALUES_RINGS = (ZZ,) + tuple(QuadRing(d) for d in sorted(NORM_EUCLIDEAN_D))
+
+
+@st.composite
+def value_windows(draw, ring):
+    """A shuffled window of points: symmetric, one-sided or mixed, with
+    duplicates, 0, |k| up to 10^6 and, over Z[w], QuadInt points."""
+    bound = draw(st.sampled_from((3, 50, 10**6)))
+    ks = draw(st.lists(st.just(0) | st.integers(0, bound), max_size=8))
+    shape = draw(st.sampled_from(("symmetric", "one-sided", "mixed")))
+    if shape == "symmetric":
+        points = [s * k for k in ks for s in (1, -1)]
+    elif shape == "one-sided":
+        sign = draw(st.sampled_from((1, -1)))
+        points = [sign * k for k in ks]
+    else:
+        points = [draw(st.sampled_from((1, -1))) * k for k in ks] + [-k for k in ks[::2]]
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=3))
+    if isinstance(ring, QuadRing):
+        small = st.integers(-4, 4)
+        points += [ring.element(a, b) for a, b in draw(st.lists(st.tuples(small, small), max_size=3))]
+    return draw(st.permutations(points))
+
+
+@st.composite
+def polys_and_windows(draw):
+    ring = draw(st.sampled_from(VALUES_RINGS))
+    size = draw(st.integers(0, 21))
+    if isinstance(ring, QuadRing):
+        pairs = draw(st.lists(st.tuples(coordinates, coordinates), min_size=size, max_size=size))
+        p = Poly([ring.element(a, b) for a, b in pairs], ring)
+    else:
+        p = Poly(draw(st.lists(coordinates, min_size=size, max_size=size)))
+    return p, draw(value_windows(ring))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=polys_and_windows())
+def test_values_match_pointwise_evaluation(case):
+    p, points = case
+    values = p.values(points)
+    expected = {k: p.evaluate(k) for k in points}
+    assert values == expected
+    for k, value in expected.items():
+        assert type(values[k]) is type(value)
+        if isinstance(value, QuadInt):
+            assert (values[k].a, values[k].b, values[k].ring) == (value.a, value.b, value.ring)
+
+
+def test_values_refuse_a_float_next_to_an_equal_int():
+    for points in ([2, 2.0], [2.0, 2], [-2, 2, 2.0]):
+        with pytest.raises(TypeError, match="exact integer required, got float"):
+            P4.values(points)
+        with pytest.raises(TypeError, match="cannot interpret float"):
+            Poly((GAUSS.one, GAUSS.omega), GAUSS).values(points)
+
+
 def test_evaluation_at_a_point_of_another_ring_is_refused():
     p = Poly((GAUSS.element(1, 1), GAUSS.one), GAUSS)
     with pytest.raises(RingMismatchError):
