@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Union
 
 from .errors import (
@@ -165,18 +166,16 @@ class Poly:
         """The value at every point, keyed by the point coerced into the ring.
 
         Each point is coerced before any set or dict sees it, so a float
-        raises TypeError even when an equal int is also asked for. Where both
-        k and -k are asked for, one Horner pass at k*k over the even and odd
-        coefficients gives p(k) and p(-k) as E(k*k) + k*O(k*k) and
-        E(k*k) - k*O(k*k) (Knuth, TAOCP vol. 2, section 4.6.4); over Z[w] it
-        runs on the integer coordinates. Every other point goes through
+        raises TypeError even when an equal int is also asked for. Every int
+        k >= 0 whose mirror -k is also asked for (0 is its own mirror) goes
+        through `_plus_minus_values`; every other point goes through
         `evaluate`.
         """
         ring = self.ring
         points = [int(k) if isinstance(k, int) else ring.coerce(k) for k in points]
         wanted = set(points)
-        paired = sorted(k for k in wanted if isinstance(k, int) and k > 0 and -k in wanted)
-        out = _plus_minus_values(self.coeffs, ring, paired) if paired else {}
+        paired = [k for k in wanted if isinstance(k, int) and k >= 0 and -k in wanted]
+        out = _plus_minus_values(self.coeffs, ring, paired)
         for k in points:
             if k not in out:
                 out[k] = self.evaluate(k)
@@ -201,40 +200,17 @@ class Poly:
         return f"Poly({self})"
 
 
-def _even_odd(coeffs) -> list[tuple]:
-    """(c_2i, c_2i+1) pairs of ascending int coefficients from the top pair
-    down; the odd one is 0 past the end."""
-    pairs = list(zip(coeffs[0::2], coeffs[1::2]))
-    if len(coeffs) % 2:
-        pairs.append((coeffs[-1], 0))
-    pairs.reverse()
-    return pairs
-
-
-def _plus_minus_values(coeffs: tuple, ring: CoefficientRing, ks: list[int]) -> dict:
-    """p(k) and p(-k) for each positive int k, from one Horner pass at k*k
-    on the even and odd parts (see Poly.values)."""
-    out = {}
+def _plus_minus_values(coeffs, ring: CoefficientRing, ks: list[int]) -> dict:
+    """p(k) and p(-k) = E(k*k) +- k*O(k*k) for each int k >= 0, from one
+    Horner pass at k*k over the even and odd coefficients (Knuth, TAOCP
+    vol. 2, section 4.6.4). Over Z[w] the pass runs on the a- and then on the
+    b-coordinates, and each pair of values becomes a QuadInt."""
     if isinstance(ring, QuadRing):
-        rows = [
-            (ea, eb, oa, ob)
-            for (ea, oa), (eb, ob) in zip(
-                _even_odd([c.a for c in coeffs]), _even_odd([c.b for c in coeffs])
-            )
-        ]
-        for k in ks:
-            y = k * k
-            ea = eb = oa = ob = 0
-            for ca, cb, da, db in rows:
-                ea = ea * y + ca
-                eb = eb * y + cb
-                oa = oa * y + da
-                ob = ob * y + db
-            oa, ob = k * oa, k * ob
-            out[k] = QuadInt(ea + oa, eb + ob, ring)
-            out[-k] = QuadInt(ea - oa, eb - ob, ring)
-        return out
-    rows = _even_odd(coeffs)
+        a = _plus_minus_values([c.a for c in coeffs], ZZ, ks)
+        b = _plus_minus_values([c.b for c in coeffs], ZZ, ks)
+        return {k: QuadInt(a[k], b[k], ring) for k in a}
+    rows = list(zip_longest(coeffs[0::2], coeffs[1::2], fillvalue=0))[::-1]
+    out = {}
     for k in ks:
         y = k * k
         e = o = 0
@@ -491,10 +467,8 @@ def field_divide(f: Poly, g: Poly) -> tuple[Element, Poly] | None:
         return None
     ring = f.ring
     den, q = result.multiplier, result.quotient
-    if not q:
-        return ring.one, q
     try:
-        t = ring.gcd(den, content(q))
+        t = ring.gcd(den, ring.gcd(*q.coeffs))
     except UnsupportedRingError:  # no gcd off the norm-Euclidean whitelist
         return den, q
     den, *parts = [ring.divides(t, c) for c in (den, *q.coeffs)]

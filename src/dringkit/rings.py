@@ -468,8 +468,8 @@ class WRational:
 
     Arithmetic does not re-check: the denominator of a sum, difference or
     product divides the product of two valid denominators, so every prime
-    factor of it is already 2 or 1 mod 4. Results are built by _trusted, which
-    keeps the gcd reduction and the cap and skips the trial division.
+    factor of it is already 2 or 1 mod 4. Results, and an int operand as n/1,
+    are built by _trusted, which reduces and caps but does not trial-divide.
     """
 
     num: int
@@ -481,27 +481,21 @@ class WRational:
             raise ZeroDivisionError("denominator must be nonzero")
         if den < 0:
             num, den = -num, -den
-        g = math.gcd(num, den)  # a TypeError for a float
-        num //= g  # a plain int also for a bool
-        den //= g
-        if den > _MAX_W_DENOMINATOR:
-            raise ValueError(f"reduced denominator exceeds {_MAX_W_DENOMINATOR}")
-        p = _first_non_w_prime(den)
+        reduced = WRational._trusted(num, den)
+        p = _first_non_w_prime(reduced.den)
         if p is not None:
             raise DenominatorNotInW(f"prime {p} divides the denominator but is 3 mod 4")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", reduced.num)
+        object.__setattr__(self, "den", reduced.den)
 
     @classmethod
     def _trusted(cls, num: int, den: int) -> "WRational":
-        """num/den in lowest terms, for ints num and den > 0 where every prime
-        factor of den is already known to be 2 or 1 mod 4.
-
-        Skips the trial division of `__post_init__`; the gcd reduction and the
-        cap on the reduced denominator stay.
+        """num/den in lowest terms, for num and den > 0, reduced and capped
+        here only. Nothing is trial-divided: the constructor's trial division
+        vouches for denominators from outside.
         """
-        g = math.gcd(num, den)
-        num //= g
+        g = math.gcd(num, den)  # a TypeError for a float
+        num //= g  # a plain int also for a bool
         den //= g
         if den > _MAX_W_DENOMINATOR:
             raise ValueError(f"reduced denominator exceeds {_MAX_W_DENOMINATOR}")
@@ -514,7 +508,7 @@ class WRational:
         if isinstance(other, WRational):
             return other
         if isinstance(other, int):
-            return WRational(other)
+            return WRational._trusted(int(other), 1)
         return None
 
     def __add__(self, other):

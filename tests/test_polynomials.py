@@ -235,6 +235,30 @@ def test_values_match_pointwise_evaluation(case):
             assert (values[k].a, values[k].b, values[k].ring) == (value.a, value.b, value.ring)
 
 
+def test_values_evaluate_only_the_unpaired_points(monkeypatch):
+    # 0 is its own mirror, so a symmetric window never reaches evaluate.
+    calls = []
+    evaluate = Poly.evaluate
+
+    def spy(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Poly, "evaluate", spy)
+    ring = QuadRing(5)
+    quad = Poly((ring.element(1, 2), ring.omega, ring.element(-3, 1), ring.one), ring)
+    for p in (P4, quad):
+        for points, unpaired in (
+            (range(-4, 5), []),
+            ([3, 0, -1, 1, -3, 0], []),
+            ([1, 2, 3, 5, 2], [1, 2, 3, 5]),
+            ([7, -2, 0, 4], [7, -2, 4]),
+        ):
+            calls.clear()
+            p.values(points)
+            assert calls == unpaired, (p, points)
+
+
 def test_values_refuse_a_float_next_to_an_equal_int():
     for points in ([2, 2.0], [2.0, 2], [-2, 2, 2.0]):
         with pytest.raises(TypeError, match="exact integer required, got float"):
@@ -461,7 +485,12 @@ def test_field_divide_degree_obstruction():
 
 
 def test_field_divide_zero_dividend():
-    assert field_divide(Poly(()), Poly((3, 7))) == (1, Poly(()))
+    # The zero quotient has gcd 0, so t = den and the pair is (1, 0), also
+    # off the whitelist, where a gcd of one nonzero value needs no quad_gcd.
+    for ring in (ZZ, GAUSS, QuadRing(-5)):
+        den, q = field_divide(Poly((), ring), Poly((3, 7), ring))
+        assert den == ring.one and type(den) is type(ring.one)
+        assert q == Poly.zero(ring) and q.ring == ring
 
 
 def test_field_divide_agrees_with_exact_divide_after_clearing_content():

@@ -228,6 +228,29 @@ def test_arithmetic_matches_the_validating_constructor(x, y):
         assert outcome(compute) == outcome(lambda: WRational(num, den))
 
 
+@settings(max_examples=300, deadline=None)
+@given(x=w_rationals, n=st.integers(min_value=-10**6, max_value=10**6) | st.booleans())
+def test_int_operands_match_the_validating_constructor(x, n):
+    # An int operand enters as n/1 through WRational._trusted, which does not
+    # trial-divide; the constructor is the oracle.
+    cases = [
+        (lambda: x + n, (x.num + n * x.den, x.den)),
+        (lambda: x - n, (x.num - n * x.den, x.den)),
+        (lambda: n - x, (n * x.den - x.num, x.den)),
+        (lambda: n * x, (n * x.num, x.den)),
+    ]
+    for compute, (num, den) in cases:
+        assert outcome(compute) == outcome(lambda: WRational(num, den))
+
+
+def test_the_constructor_checks_the_cap_before_the_denominator():
+    # 3 * 5**17 is over the cap and has the prime 3: the cap is reported.
+    with pytest.raises(ValueError, match=f"reduced denominator exceeds {CAP}"):
+        WRational(1, 3 * 5**17)
+    with pytest.raises(DenominatorNotInW, match="prime 3 divides"):
+        WRational(2, -6 * 5)
+
+
 def test_arithmetic_past_the_denominator_cap_raises():
     message = f"reduced denominator exceeds {CAP}"
     for compute in (
@@ -251,3 +274,8 @@ def test_arithmetic_does_not_trial_divide(monkeypatch):
     assert str(x - y) == "-2413/37570"
     assert str(-x) == "7/130"
     assert str(x * x - x * x) == "0/1"
+    assert str(x + 3) == "383/130"
+    assert str(x - 3) == "-397/130"
+    assert str(3 - x) == "397/130"
+    assert str(-2 * x) == "7/65"
+    assert str(True * y) == "3/289"
