@@ -347,12 +347,11 @@ def _int_pseudo_divide(f: tuple, g: tuple, s: int) -> tuple[int, list, list]:
 
 
 def _quad_pseudo_divide(f: tuple, g: tuple, s: int, ring: QuadRing) -> tuple[QuadInt, list, list]:
-    """Algorithm R over Z[w] on the coordinate lists u_a and u_b of u."""
-    t, m = ring.t, ring.n  # w**2 = t*w + m
+    """Algorithm R over Z[w] on the coordinate lists u_a and u_b of u. Each
+    product applies a matrix from ring.matrix to a coordinate pair."""
     n = len(g) - 1
-    la, lb = g[n].a, g[n].b
     # lc(g) * (x + y*w) = (la*x + lm*y) + (lb*x + lt*y)*w
-    lm, lt = m * lb, la + t * lb
+    la, lm, lb, lt = ring.matrix(g[n].a, g[n].b)
     low = [(d.a, d.b) for d in g[:n]]
     powers = [(1, 0)]
     for _ in range(s):
@@ -362,11 +361,13 @@ def _quad_pseudo_divide(f: tuple, g: tuple, s: int, ring: QuadRing) -> tuple[Qua
     u_b = [c.b for c in f]
     q = [None] * s
     for k in range(s - 1, -1, -1):
-        u_a[k], u_b[k] = _pair_product(u_a[k], u_b[k], *powers[s - 1 - k], t, m)
-        ca, cb = u_a[n + k], u_b[n + k]
-        q[k] = QuadInt(*_pair_product(ca, cb, *powers[k], t, m), ring)
+        pa, pm, pb, pt = ring.matrix(*powers[s - 1 - k])
+        x, y = u_a[k], u_b[k]
+        u_a[k], u_b[k] = pa * x + pm * y, pb * x + pt * y
         # c * (da + db*w) = (ca*da + cm*db) + (cb*da + ct*db)*w
-        cm, ct = m * cb, ca + t * cb
+        ca, cm, cb, ct = ring.matrix(u_a[n + k], u_b[n + k])
+        x, y = powers[k]
+        q[k] = QuadInt(ca * x + cm * y, cb * x + ct * y, ring)
         for j, (da, db) in enumerate(low, k):
             x, y = u_a[j], u_b[j]
             u_a[j] = la * x + lm * y - ca * da - cm * db
@@ -375,19 +376,14 @@ def _quad_pseudo_divide(f: tuple, g: tuple, s: int, ring: QuadRing) -> tuple[Qua
     return QuadInt(*powers[s], ring), q, r
 
 
-def _pair_product(a: int, b: int, c: int, e: int, t: int, m: int) -> tuple[int, int]:
-    """Coordinates of (a + b*w)(c + e*w) when w**2 = t*w + m."""
-    be = b * e
-    return a * c + m * be, a * e + b * c + t * be
-
-
 def exact_divide(f: Poly, g: Poly) -> Poly | None:
     """The quotient q with f == g * q when g divides f in R[x], else None.
 
     Leading-coefficient elimination on one list of f's coefficients, with an
     exactness check at every step, independently of pseudo_divide so the two
     can cross-validate. Over Z[w] the list is held as integer coordinates and
-    each leading term is divided by lc(g) through conj(lc g) and N(lc g).
+    each leading term is divided by lc(g) through the adjugate and the
+    determinant of lc(g)'s matrix, that is conj(lc g) and N(lc g).
     """
     f._check_ring(g)
     if not g:
@@ -425,11 +421,9 @@ def _int_exact_quotient(f: tuple, g: tuple) -> list | None:
 
 def _quad_exact_quotient(f: tuple, g: tuple, ring: QuadRing) -> list | None:
     """The coefficients of f / g over Z[w], or None when g does not divide f."""
-    t, m = ring.t, ring.n  # w**2 = t*w + m
     n = len(g) - 1
-    la, lb = g[n].a, g[n].b
-    ca, cb = la + t * lb, -lb  # conj(lc g)
-    norm = la * ca + m * lb * cb  # N(lc g)
+    la, lm, lb, lt = ring.matrix(g[n].a, g[n].b)  # multiplication by lc(g)
+    norm = la * lt - lm * lb  # N(lc g)
     terms = [(i, d.a, d.b) for i, d in enumerate(g[:n]) if d]
     r_a = [c.a for c in f]
     r_b = [c.b for c in f]
@@ -438,14 +432,13 @@ def _quad_exact_quotient(f: tuple, g: tuple, ring: QuadRing) -> list | None:
         a, b = r_a[n + k], r_b[n + k]
         if not (a or b):
             continue
-        x, y = _pair_product(a, b, ca, cb, t, m)
-        qa, ra = divmod(x, norm)
-        qb, rb = divmod(y, norm)
+        qa, ra = divmod(lt * a - lm * b, norm)  # the adjugate: times conj(lc g)
+        qb, rb = divmod(la * b - lb * a, norm)
         if ra or rb:
             return None
         q[k] = QuadInt(qa, qb, ring)
         # q_k * (da + db*w) = (qa*da + qm*db) + (qb*da + qt*db)*w
-        qm, qt = m * qb, qa + t * qb
+        qa, qm, qb, qt = ring.matrix(qa, qb)
         for i, da, db in terms:
             r_a[k + i] -= qa * da + qm * db
             r_b[k + i] -= qb * da + qt * db

@@ -183,7 +183,8 @@ class QuadRing:
 
     w = sqrt(d) when d = 2, 3 (mod 4) and (1 + sqrt(d))/2 when d = 1 (mod 4),
     so w**2 = t*w + n with (t, n) = (0, d) or (1, (d - 1)/4); t and n are set
-    once, outside the fields. Elements are a + b*w with integer a, b.
+    once, outside the fields. Elements are a + b*w with integer a, b. Element
+    products read t and n only through `matrix`.
     """
 
     d: int
@@ -211,6 +212,14 @@ class QuadRing:
     @property
     def omega(self) -> "QuadInt":
         return QuadInt(0, 1, self)
+
+    def matrix(self, a: int, b: int) -> tuple[int, int, int, int]:
+        """Multiplication by a + b*w as the integer matrix (p, q, r, s), with
+        (a + b*w)(x + y*w) = (p*x + q*y) + (r*x + s*y)*w as w**2 = t*w + n.
+        The columns are a + b*w and (a + b*w)*w, the determinant p*s - q*r is
+        the norm, and the adjugate (s, -q, -r, p) multiplies by the conjugate.
+        """
+        return a, self.n * b, b, a + self.t * b
 
     def element(self, a: int, b: int = 0) -> "QuadInt":
         return QuadInt(ZZ.coerce(a), ZZ.coerce(b), self)
@@ -263,14 +272,8 @@ class QuadInt:
     ring: QuadRing
 
     def _coerce(self, other):
-        if isinstance(other, QuadInt):
-            if other.ring != self.ring:
-                raise RingMismatchError(
-                    f"cannot combine elements of {self.ring} and {other.ring}"
-                )
-            return other
-        if isinstance(other, int):
-            return QuadInt(other, 0, self.ring)
+        if isinstance(other, (QuadInt, int)):
+            return self.ring.coerce(other)
         return None
 
     def __add__(self, other):
@@ -297,10 +300,9 @@ class QuadInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ring = self.ring
-        a, b, c, e = self.a, self.b, other.a, other.b
-        be = b * e  # times w**2 = t*w + n
-        return QuadInt(a * c + ring.n * be, a * e + b * c + ring.t * be, ring)
+        p, q, r, s = self.ring.matrix(self.a, self.b)
+        x, y = other.a, other.b
+        return QuadInt(p * x + q * y, r * x + s * y, self.ring)
 
     __rmul__ = __mul__
 
@@ -336,13 +338,14 @@ class QuadInt:
         return hash((self.a, self.b, self.ring.d))
 
     def conjugate(self) -> "QuadInt":
-        """The image under the field automorphism w -> t - w; fixes exactly Z."""
-        return QuadInt(self.a + self.ring.t * self.b, -self.b, self.ring)
+        """The image under w -> t - w, fixing exactly Z: the adjugate's first column."""
+        p, q, r, s = self.ring.matrix(self.a, self.b)
+        return QuadInt(s, -r, self.ring)
 
     def norm(self) -> int:
-        """The rational integer self * conjugate(self)."""
-        a, b, ring = self.a, self.b, self.ring
-        return a * a + ring.t * a * b - ring.n * b * b
+        """The rational integer self * conjugate(self): the matrix's determinant."""
+        p, q, r, s = self.ring.matrix(self.a, self.b)
+        return p * s - q * r
 
     def is_unit(self) -> bool:
         return self.norm() in (1, -1)
@@ -350,22 +353,20 @@ class QuadInt:
     def divides(self, other) -> "QuadInt | None":
         """Return q with other == self * q, or None when no such q is in the ring.
 
-        Computed as other * conjugate(self) / norm(self) on the coordinates,
-        with both checked for exact divisibility.
+        Computed as other * conjugate(self) / norm(self): self's adjugate on
+        other's coordinates, each checked for exact division by the determinant.
         """
         if not self:
             raise ZeroDivisionError("zero divides only zero")
         ring = self.ring
         other = ring.coerce(other)
-        t, n = ring.t, ring.n
-        c, e = self.a + t * self.b, -self.b  # conjugate(self) = c + e*w
-        a, b = other.a, other.b
-        be = b * e
-        norm = self.a * c + n * self.b * e
-        qa, ra = divmod(a * c + n * be, norm)
+        p, q, r, s = ring.matrix(self.a, self.b)
+        x, y = other.a, other.b
+        norm = p * s - q * r
+        qa, ra = divmod(s * x - q * y, norm)
         if ra:
             return None
-        qb, rb = divmod(a * e + b * c + t * be, norm)
+        qb, rb = divmod(p * y - r * x, norm)
         if rb:
             return None
         return QuadInt(qa, qb, ring)
@@ -392,17 +393,15 @@ def _round_half_to_zero(num: int, den: int) -> int:
 def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> tuple[int, int]:
     """One division step on coordinate pairs (a, b) standing for a + b*w:
     a remainder r = x - q*y with |norm(r)| < |norm(y)|."""
-    t, n = ring.t, ring.n
+    t, n = ring.t, ring.n  # for the inline norm form of the candidates
     xa, xb = x
-    ya, yb = y
-    ca, cb = ya + t * yb, -yb  # conjugate(y)
-    norm = ya * ca + n * yb * cb
-    be = xb * cb  # q = x * conjugate(y) / norm, rounded coordinatewise
-    qa = _round_half_to_zero(xa * ca + n * be, norm)
-    qb = _round_half_to_zero(xa * cb + xb * ca + t * be, norm)
-    be = qb * yb  # r = x - q*y
-    ra = xa - qa * ya - n * be
-    rb = xb - qa * yb - qb * ya - t * be
+    ya, ym, yb, yt = ring.matrix(*y)  # multiplication by y
+    norm = ya * yt - ym * yb
+    # q = x * conjugate(y) / norm through the adjugate, rounded coordinatewise
+    qa = _round_half_to_zero(yt * xa - ym * xb, norm)
+    qb = _round_half_to_zero(ya * xb - yb * xa, norm)
+    ra = xa - ya * qa - ym * qb  # r = x - y*q
+    rb = xb - yb * qa - yt * qb
     bound = abs(norm)
     if abs(ra * ra + t * ra * rb - n * rb * rb) < bound:
         return ra, rb
@@ -411,8 +410,9 @@ def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> t
     # so the good quotient can sit many lattice steps away. Double the box
     # until it holds one (on the whitelist some quotient always shrinks the
     # norm) and keep its first remainder of least norm. The candidate
-    # x - (q + da + db*w)*y is r - (da + db*w)*y. Each box skips the one
-    # before it, already found empty; the first skips only r itself.
+    # x - (q + da + db*w)*y is r - da*y - db*(y*w), the matrix's columns.
+    # Each box skips the one before it, already found empty; the first skips
+    # only r itself.
     radius, inner = 1, 0
     while True:
         best = None
@@ -422,8 +422,7 @@ def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> t
         for da in row:
             sa, sb = ra - da * ya, rb - da * yb
             for db in outer_row if -inner <= da <= inner else row:
-                be = db * yb
-                pa, pb = sa - n * be, sb - db * ya - t * be
+                pa, pb = sa - db * ym, sb - db * yt
                 cand_norm = abs(pa * pa + t * pa * pb - n * pb * pb)
                 if cand_norm < best_norm:
                     best, best_norm = (pa, pb), cand_norm

@@ -364,7 +364,14 @@ def eval_divisibility_reference(f: Poly, g: Poly, samples) -> EvalDivReport:
 # the gcd descent, the generic schoolbook product, exact division by
 # conjugate and norm, and the two polynomial division loops. The library must
 # return the same coordinates, that is the same associate, not just an
-# associate.
+# associate. QuadInt arithmetic itself goes through QuadRing.matrix, so the
+# pair product below, written from w**2 = t*w + m alone, is its oracle.
+
+
+def pair_product_reference(a: int, b: int, c: int, e: int, t: int, m: int) -> tuple[int, int]:
+    """Coordinates of (a + b*w)(c + e*w) when w**2 = t*w + m."""
+    be = b * e
+    return a * c + m * be, a * e + b * c + t * be
 
 
 def reduction_step_reference(x: QuadInt, y: QuadInt) -> QuadInt:

@@ -26,6 +26,7 @@ from dringkit.rings import _reduction_step
 from helpers import (
     TEST_QUAD_DS,
     divides_reference,
+    pair_product_reference,
     quad_gcd_reference,
     reduction_step_reference,
 )
@@ -36,6 +37,7 @@ GOLDEN = QuadRing(5)
 
 coords = st.integers(min_value=-1000, max_value=1000)
 big_coords = st.integers(min_value=-10**30, max_value=10**30)
+gcd_coords = st.integers(min_value=-10**12, max_value=10**12)
 
 
 # --- descriptors ---------------------------------------------------------
@@ -89,6 +91,16 @@ def test_mixed_rings_raise():
         GAUSS.element(1, 0) + GOLDEN.element(1, 0)
     with pytest.raises(RingMismatchError):
         GAUSS.element(1, 0) * EISEN.element(1, 1)
+    with pytest.raises(RingMismatchError):
+        GAUSS.element(1, 2) - GOLDEN.element(3, 4)
+    with pytest.raises(RingMismatchError):
+        EISEN.element(1, 1) * GAUSS.element(1, 0)
+    x = GOLDEN.element(3, -2)
+    with pytest.raises(TypeError):
+        x + 2.0
+    for value in (x + True, x * True):
+        assert type(value.a) is int and type(value.b) is int
+    assert (x + True, x * True) == (GOLDEN.element(4, -2), x)
 
 
 def test_sqrt_mode_multiplication():
@@ -193,6 +205,47 @@ def test_multiply_conjugate_and_norm_match_sympy(a, b, c, e, d):
     assert (conjugate.a, conjugate.b) == _sympy_coordinates(sympy, _sympy_value(x, -root), d)
     norm = sympy.expand(_sympy_value(x, root) * _sympy_value(x, -root))
     assert norm.is_Integer and x.norm() == int(norm)
+
+
+# QuadRing.matrix is the one place an element product is derived from t and
+# n; the pair product in helpers, written from w**2 = t*w + n alone, checks it
+# and everything QuadInt computes through it.
+MATRIX_DS = sorted(NORM_EUCLIDEAN_D) + [-6, -5, 10, 14, 15, 23]
+
+
+def test_matrix_examples():
+    assert GAUSS.matrix(1, 2) == (1, -2, 2, 1)
+    assert GAUSS.element(1, 2) * GAUSS.element(3, 4) == GAUSS.element(-5, 10)
+    assert GOLDEN.omega * GOLDEN.omega == GOLDEN.element(1, 1)
+    assert GOLDEN.omega.norm() == -1
+    assert EISEN.omega.norm() == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=gcd_coords, b=gcd_coords, x=gcd_coords, y=gcd_coords, d=st.sampled_from(MATRIX_DS))
+def test_matrix_arithmetic_matches_the_pair_product(a, b, x, y, d):
+    ring = QuadRing(d)
+    t, n = ring.t, ring.n
+    alpha, beta = ring.element(a, b), ring.element(x, y)
+    product = pair_product_reference(a, b, x, y, t, n)
+    p, q, r, s = ring.matrix(a, b)
+    assert (p * x + q * y, r * x + s * y) == product
+    gamma = alpha * beta
+    assert (gamma.a, gamma.b) == product
+    assert alpha.norm() == a * a + t * a * b - n * b * b
+    conjugate = alpha.conjugate()
+    assert (conjugate.a, conjugate.b) == (a + t * b, -b)
+    assert pair_product_reference(a, b, conjugate.a, conjugate.b, t, n) == (alpha.norm(), 0)
+    if not alpha:
+        return
+    quotient = alpha.divides(gamma)
+    assert (quotient.a, quotient.b) == (x, y)
+    quotient = alpha.divides(beta)
+    if quotient is None:
+        num = pair_product_reference(x, y, conjugate.a, conjugate.b, t, n)
+        assert num[0] % alpha.norm() or num[1] % alpha.norm()
+    else:
+        assert pair_product_reference(a, b, quotient.a, quotient.b, t, n) == (x, y)
 
 
 # --- conjugation ----------------------------------------------------------
@@ -384,7 +437,6 @@ def test_gcd_is_maximal_among_small_common_divisors(d):
 
 # quad_gcd and _reduction_step run on coordinate pairs; the QuadInt descent
 # in helpers is the oracle, and the two must agree on the associate.
-gcd_coords = st.integers(min_value=-10**12, max_value=10**12)
 
 
 @settings(max_examples=300, deadline=None)
