@@ -6,13 +6,14 @@ human-readable text is read from that payload. In JSON, every integer is a
 decimal string so that arbitrary-precision values never pass through
 floating point, and keys are emitted sorted. Exit codes: 0 affirmative/success, 1 negative verdict,
 2 usage or computation error, including running out of memory or recursion
-depth.
+depth and a standard output closed early (as by `| head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -374,7 +375,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
             print("\n".join(lines))
+        sys.stdout.flush()
         return 0 if ok else 1
+    except BrokenPipeError:
+        # Python's signal docs, "Note on SIGPIPE": stdout goes to devnull, so
+        # the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before all output was written", file=sys.stderr)
+        return 2
     except (DRingKitError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

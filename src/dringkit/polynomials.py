@@ -7,10 +7,11 @@ None. All arithmetic is exact and stays inside the coefficient ring.
 Coefficients are validated once, where they enter: `Poly(...)` and the
 `zero`, `one`, `x`, `constant` and `monomial` constructors coerce every
 coefficient into the ring, and a scalar multiplier is coerced once per
-product. Arithmetic trusts its own outputs: sums, products, quotients and the
-other results built here from coefficients already in the ring go through
-`Poly._trusted`, which only strips trailing zeros. So does `parse_poly`,
-which builds its ints and QuadInts from the text itself.
+product, as its one-coefficient left operand. Arithmetic trusts its own
+outputs: sums, products, quotients and the other results built here from
+coefficients already in the ring go through `Poly._trusted`, which only
+strips trailing zeros. So does `parse_poly`, which builds its ints and
+QuadInts from the text itself.
 """
 
 from __future__ import annotations
@@ -120,24 +121,23 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_ring(other)
-            ring = self.ring
             f, g = self.coeffs, other.coeffs
-            if not isinstance(ring, QuadRing):
-                return Poly._trusted(_int_product(f, g), ring)
-            # (A + B*w)(C + E*w) = AC + n*BE + (AE + BC + t*BE)*w, as w**2 = t*w + n.
-            a, b = [x.a for x in f], [x.b for x in f]
-            c, e = [x.a for x in g], [x.b for x in g]
-            t, n = ring.t, ring.n
-            out = [
-                QuadInt(ac + n * be, ae + bc + t * be, ring)
-                for ac, ae, bc, be in zip(
-                    _int_product(a, c), _int_product(a, e),
-                    _int_product(b, c), _int_product(b, e),
-                )
-            ]
-            return Poly._trusted(out, ring)
-        scalar = self.ring.coerce(other)
-        return Poly._trusted([c * scalar for c in self.coeffs], self.ring)
+        else:  # on the left, so the inner loop runs once, over self
+            f, g = (self.ring.coerce(other),), self.coeffs
+        ring = self.ring
+        if not isinstance(ring, QuadRing):
+            return Poly._trusted(_int_product(f, g), ring)
+        pairs = [(y.a, y.b) for y in g]
+        out_a = [0] * (len(f) + len(g) - 1)
+        out_b = out_a[:]
+        for i, x in enumerate(f):
+            if not x:
+                continue
+            p, q, r, s = ring.matrix(x.a, x.b)
+            for j, (ya, yb) in enumerate(pairs, i):
+                out_a[j] += p * ya + q * yb
+                out_b[j] += r * ya + s * yb
+        return Poly._trusted([QuadInt(a, b, ring) for a, b in zip(out_a, out_b)], ring)
 
     __rmul__ = __mul__
 
@@ -167,19 +167,15 @@ class Poly:
 
         Each point is coerced before any set or dict sees it, so a float
         raises TypeError even when an equal int is also asked for. Every int
-        k >= 0 whose mirror -k is also asked for (0 is its own mirror) goes
-        through `_plus_minus_values`; every other point goes through
-        `evaluate`.
+        point k takes the pass of `_plus_minus_values` at |k|, which gives
+        p(-k) with it; only QuadInt points go through `evaluate`.
         """
         ring = self.ring
         points = [int(k) if isinstance(k, int) else ring.coerce(k) for k in points]
-        wanted = set(points)
-        paired = [k for k in wanted if isinstance(k, int) and k >= 0 and -k in wanted]
-        out = _plus_minus_values(self.coeffs, ring, paired)
-        for k in points:
-            if k not in out:
-                out[k] = self.evaluate(k)
-        return out
+        ints = _plus_minus_values(
+            self.coeffs, ring, {abs(k) for k in points if isinstance(k, int)}
+        )
+        return {k: ints[k] if isinstance(k, int) else self.evaluate(k) for k in points}
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -200,7 +196,7 @@ class Poly:
         return f"Poly({self})"
 
 
-def _plus_minus_values(coeffs, ring: CoefficientRing, ks: list[int]) -> dict:
+def _plus_minus_values(coeffs, ring: CoefficientRing, ks: set[int]) -> dict:
     """p(k) and p(-k) = E(k*k) +- k*O(k*k) for each int k >= 0, from one
     Horner pass at k*k over the even and odd coefficients (Knuth, TAOCP
     vol. 2, section 4.6.4). Over Z[w] the pass runs on the a- and then on the

@@ -184,7 +184,8 @@ class QuadRing:
     w = sqrt(d) when d = 2, 3 (mod 4) and (1 + sqrt(d))/2 when d = 1 (mod 4),
     so w**2 = t*w + n with (t, n) = (0, d) or (1, (d - 1)/4); t and n are set
     once, outside the fields. Elements are a + b*w with integer a, b. Element
-    products read t and n only through `matrix`.
+    and polynomial products read t and n only through `matrix`; the one other
+    reader is the inline norm of `_reduction_step`'s box candidates.
     """
 
     d: int

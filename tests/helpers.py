@@ -28,7 +28,7 @@ from dringkit import (
     primitive_part,
 )
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
-from dringkit.polynomials import PseudoDivResult
+from dringkit.polynomials import PseudoDivResult, _int_product
 from dringkit.rings import _round_half_to_zero
 
 
@@ -427,6 +427,26 @@ def product_reference(f: Poly, g: Poly) -> Poly:
         for j, d in enumerate(g.coeffs, i):
             out[j] = out[j] + c * d
     return Poly._trusted(out, f.ring)
+
+
+def quad_product_reference(f: Poly, g: Poly) -> Poly:
+    """The Z[w][x] product as four integer schoolbook products on the
+    coordinates, with t and n read directly instead of through
+    QuadRing.matrix."""
+    ring = f.ring
+    f, g = f.coeffs, g.coeffs
+    # (A + B*w)(C + E*w) = AC + n*BE + (AE + BC + t*BE)*w, as w**2 = t*w + n.
+    a, b = [x.a for x in f], [x.b for x in f]
+    c, e = [x.a for x in g], [x.b for x in g]
+    t, n = ring.t, ring.n
+    out = [
+        QuadInt(ac + n * be, ae + bc + t * be, ring)
+        for ac, ae, bc, be in zip(
+            _int_product(a, c), _int_product(a, e),
+            _int_product(b, c), _int_product(b, e),
+        )
+    ]
+    return Poly._trusted(out, ring)
 
 
 def divides_reference(x: QuadInt, other) -> QuadInt | None:

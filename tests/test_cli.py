@@ -506,17 +506,35 @@ def test_non_ascii_digits_are_diagnosed_with_their_position(capsys):
     assert err == "error: unexpected character '²' (at position 1)\n"
 
 
-def test_module_entry_point_matches_main(capsys):
-    argv = ["divides", "x^2+1", "x+1"]
+def module_env() -> dict:
+    """The environment for `python -m dringkit.cli` on this checkout."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = [src, os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [src]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["divides", "x^2+1", "x+1"]
     proc = subprocess.run(
-        [sys.executable, "-m", "dringkit.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "dringkit.cli", *argv],
+        capture_output=True, text=True, env=module_env(),
     )
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_a_closed_stdout_exits_two_with_one_line():
+    # About 300 KB of JSON: far more than a pipe holds once the reader is gone.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dringkit.cli", "cheb", "--n", "1000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    )
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: standard output closed before all output was written\n"
 
 
 def test_text_and_json_agree_on_the_verdict(capsys):

@@ -27,6 +27,7 @@ from helpers import (
     TEST_QUAD_DS,
     evaluate_reference,
     product_reference,
+    quad_product_reference,
     rand_poly,
     rand_primitive,
 )
@@ -93,8 +94,10 @@ def test_degree_is_additive_under_product():
     assert (Poly.zero() * Poly((1, 2))).degree() is None
 
 
-# Over Z[w] the product runs four integer schoolbook products on the
-# coordinates; helpers.product_reference multiplies whole ring elements.
+# Over Z[w] the product is one schoolbook loop through QuadRing.matrix;
+# helpers.product_reference multiplies whole ring elements and
+# helpers.quad_product_reference runs four integer products with t and n
+# written out.
 PRODUCT_RINGS = (ZZ,) + tuple(QuadRing(d) for d in KERNEL_QUAD_DS)
 product_coords = st.just(0) | st.integers(-10**30, 10**30)
 
@@ -115,19 +118,46 @@ def product_operands(draw):
     return polys
 
 
-@settings(max_examples=200, deadline=None)
-@given(operands=product_operands())
-def test_product_matches_the_reference(operands):
-    f, g = operands
-    product, expected = f * g, product_reference(f, g)
+def assert_same_poly(product, expected):
+    """Equal coefficient by coefficient, with the same types and rings."""
     assert product.ring == expected.ring
     assert len(product.coeffs) == len(expected.coeffs)
     for c, e in zip(product.coeffs, expected.coeffs):
         assert type(c) is type(e)
-        if f.ring != ZZ:
-            assert c.ring == f.ring and (c.a, c.b) == (e.a, e.b)
+        if isinstance(e, QuadInt):
+            assert c.ring == e.ring and (c.a, c.b) == (e.a, e.b)
         else:
             assert c == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=product_operands())
+def test_product_matches_the_reference(operands):
+    f, g = operands
+    product = f * g
+    assert_same_poly(product, product_reference(f, g))
+    if f.ring != ZZ:
+        assert_same_poly(product, quad_product_reference(f, g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=product_operands(), data=st.data())
+def test_scalar_product_is_the_product_with_a_constant(operands, data):
+    p, ring = operands[0], operands[0].ring
+    a = data.draw(st.just(0) | st.booleans() | product_coords)
+    scalars = [a]
+    if ring != ZZ:
+        scalars.append(ring.element(a, data.draw(product_coords)))
+    for c in scalars:
+        expected = p * Poly.constant(c, ring)
+        assert_same_poly(p * c, expected)
+        assert_same_poly(c * p, expected)
+    other = QuadRing(-1 if ring == ZZ or ring.d != -1 else 2)
+    stranger = other.element(1, 1)
+    with pytest.raises(RingMismatchError):
+        p * stranger
+    with pytest.raises(RingMismatchError):
+        stranger * p
 
 
 # --- evaluation -----------------------------------------------------------
@@ -235,8 +265,9 @@ def test_values_match_pointwise_evaluation(case):
             assert (values[k].a, values[k].b, values[k].ring) == (value.a, value.b, value.ring)
 
 
-def test_values_evaluate_only_the_unpaired_points(monkeypatch):
-    # 0 is its own mirror, so a symmetric window never reaches evaluate.
+def test_values_evaluate_only_the_quadint_points(monkeypatch):
+    # Every int point takes the +-k pass at |k|, so only QuadInt points reach
+    # evaluate.
     calls = []
     evaluate = Poly.evaluate
 
@@ -248,15 +279,20 @@ def test_values_evaluate_only_the_unpaired_points(monkeypatch):
     ring = QuadRing(5)
     quad = Poly((ring.element(1, 2), ring.omega, ring.element(-3, 1), ring.one), ring)
     for p in (P4, quad):
-        for points, unpaired in (
-            (range(-4, 5), []),
-            ([3, 0, -1, 1, -3, 0], []),
-            ([1, 2, 3, 5, 2], [1, 2, 3, 5]),
-            ([7, -2, 0, 4], [7, -2, 4]),
+        for points in (
+            range(-4, 5),
+            [3, 0, -1, 1, -3, 0],
+            [1, 2, 3, 5, 2],
+            [7, -2, 0, 4],
         ):
             calls.clear()
             p.values(points)
-            assert calls == unpaired, (p, points)
+            assert calls == [], (p, points)
+    points = [ring.element(1, 1), 2, ring.omega, -3, ring.element(4)]
+    calls.clear()
+    values = quad.values(points)
+    assert calls == [ring.element(1, 1), ring.omega, ring.element(4)]
+    assert values == {k: evaluate(quad, k) for k in points}
 
 
 def test_values_refuse_a_float_next_to_an_equal_int():
