@@ -21,8 +21,6 @@ from .errors import (
     NotPrimitiveError,
     PolyParseError,
     RingMismatchError,
-    SearchCapExceededError,
-    SearchPreconditionError,
     UnsupportedRingError,
     VerificationError,
     ZeroInputError,
@@ -40,11 +38,7 @@ from .lab import (
     certify_divisibility,
     cheb_certify,
     cheb_generate,
-    default_samples,
-    degree_dichotomy_check,
     eval_divisibility,
-    growth_witness,
-    sf_difference_growth,
     sf_search,
     witness_scan_order,
     zw_unit_demo,
@@ -106,8 +100,6 @@ __all__ = [
     "QuadRing",
     "RingMismatchError",
     "SAMPLE_WINDOW_NOTE",
-    "SearchCapExceededError",
-    "SearchPreconditionError",
     "TransferReport",
     "TransferSample",
     "UnsupportedRingError",
@@ -122,13 +114,10 @@ __all__ = [
     "cheb_generate",
     "conjugate_poly",
     "content",
-    "default_samples",
-    "degree_dichotomy_check",
     "eval_divisibility",
     "exact_divide",
     "factorize",
     "field_divide",
-    "growth_witness",
     "is_primitive",
     "is_squarefree",
     "is_w_prime",
@@ -140,7 +129,6 @@ __all__ = [
     "primitive_part",
     "pseudo_divide",
     "quad_gcd",
-    "sf_difference_growth",
     "sf_search",
     "witness_scan_order",
     "zw_unit_demo",

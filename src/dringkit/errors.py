@@ -41,14 +41,6 @@ class EmptySampleSetError(DRingKitError):
     """An evaluation check needs at least one sample point."""
 
 
-class SearchPreconditionError(DRingKitError):
-    """A witness scan was asked for a configuration it does not cover."""
-
-
-class SearchCapExceededError(DRingKitError):
-    """An upward scan hit its safety cap without an answer."""
-
-
 class ArgumentCapError(DRingKitError):
     """A command-line argument exceeds its documented cap."""
 

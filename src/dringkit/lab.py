@@ -18,17 +18,13 @@ from .errors import (
     ConstantPolynomialError,
     EmptySampleSetError,
     NotPrimitiveError,
-    SearchCapExceededError,
-    SearchPreconditionError,
     UnsupportedRingError,
     VerificationError,
-    ZeroInputError,
 )
 from .polynomials import Poly, exact_divide, is_primitive
 from .rings import ZZ, WRational, primes_up_to
 
 DEFAULT_WINDOW = 20
-GROWTH_SCAN_CAP = 10**6
 # sf_search finds the least roots of every prime up to here in one scan.
 _SCAN_PRIMES_UP_TO = 2**14
 DEFAULT_DEMO_SEED = 1729
@@ -38,11 +34,6 @@ SAMPLE_WINDOW_NOTE = (
     "pointwise divisibility was checked on a finite sample window; the "
     "underlying statements quantify over all but finitely many integers"
 )
-
-
-def default_samples() -> list[int]:
-    """The symmetric integer window used when callers do not supply samples."""
-    return list(range(-DEFAULT_WINDOW, DEFAULT_WINDOW + 1))
 
 
 @dataclass(frozen=True)
@@ -145,49 +136,6 @@ def certify_divisibility(f: Poly, g: Poly, search_bound: int = 1000) -> Divisibi
         if gval and f.ring.divides(gval, f.evaluate(k)) is None:
             return DivisibilityCertificate("NOT_DIVIDES", None, k)
     return DivisibilityCertificate("NOT_DIVIDES", None, None)
-
-
-def degree_dichotomy_check(f: Poly, g: Poly, samples: Iterable) -> str:
-    """Pointwise divisibility on the samples should force f == 0 or
-    deg g <= deg f.
-
-    Returns CONSISTENT when that holds, REFUTES_SAMPLES when divisibility
-    already fails on the samples, and VIOLATION when the samples pass yet the
-    degree comparison fails; no integer instance can produce a VIOLATION, so
-    one would mean an arithmetic bug.
-    """
-    report = eval_divisibility(f, g, samples)
-    if report.verdict == "FAILED":
-        return "REFUTES_SAMPLES"
-    if not f or f.degree() >= g.degree():
-        return "CONSISTENT"
-    return "VIOLATION"
-
-
-def growth_witness(f: Poly, g: Poly) -> int:
-    """Least k >= 1 with g(k) != 0 and |g(k)| > |f(k)| > 0, given f != 0 and
-    deg g > deg f.
-
-    Strict growth separation at k forces g(k) to not divide f(k). Scans
-    upward from 1; raises SearchCapExceededError when no k <= GROWTH_SCAN_CAP
-    separates the two, that is, when at every scanned point f vanishes or
-    |g(k)| <= |f(k)|. Such a k always exists, since deg g > deg f, but with
-    large coefficients in f it can lie past the cap: for f = 10**13 and
-    g = x**2 it is 3162278.
-    """
-    if f.ring != ZZ or g.ring != ZZ:
-        raise UnsupportedRingError("growth comparison needs integer coefficients")
-    if not f:
-        raise SearchPreconditionError("the dividend must be nonzero")
-    if not g or g.degree() <= f.degree():
-        raise SearchPreconditionError("the divisor's degree must exceed the dividend's")
-    for k in range(1, GROWTH_SCAN_CAP + 1):
-        gval = g.evaluate(k)
-        if gval != 0 and abs(gval) > abs(f.evaluate(k)) > 0:
-            return k
-    raise SearchCapExceededError(
-        f"no point below {GROWTH_SCAN_CAP} separated the growth of the two polynomials"
-    )
 
 
 @dataclass(frozen=True)
@@ -394,85 +342,51 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def sf_difference_growth(
-    f: Poly, c: int, limits: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Sizes of {p prime: f has a root mod p, p does not divide c} below each
-    limit, ascending.
-
-    The underlying set is infinite for nonconstant f and nonzero c, but no
-    finite computation decides that; this reports the monotone counts instead
-    of a verdict. A c or a limit that is not an int, such as a float, raises
-    TypeError.
-    """
-    if ZZ.coerce(c) == 0:
-        raise ZeroInputError("c must be nonzero")
-    bounds = sorted(ZZ.coerce(limit) for limit in limits)
-    if not bounds:
-        raise ValueError("need at least one limit")
-    found = [r.prime for r in sf_search(f, bounds[-1]) if c % r.prime != 0]
-    return [(bound, sum(1 for p in found if p <= bound)) for bound in bounds]
-
-
 @dataclass(frozen=True)
 class ZWUnitReport:
     """Outcome of evaluating x**2 + 1 at seeded random points of Z[W].
 
-    Any entry in failures would be a genuine counterexample to the unit claim
-    and must be surfaced loudly by callers; none exists. certified counts the
-    verdicts proved by a square root of -1, trial_division those that fell
-    back to WRational.is_unit.
+    certified counts the values proved units by a square root of -1; it is
+    always trials, since a value that is not certified raises instead.
     """
 
     trials: int
     seed: int
-    failures: tuple
-    certified: int = 0
-    trial_division: int = 0
+    certified: int
 
     @property
     def passes(self) -> int:
-        return self.trials - len(self.failures)
+        return self.certified
 
     @property
     def all_units(self) -> bool:
-        return not self.failures
+        return self.certified == self.trials
 
 
-def _unit_verdict(value: WRational, root: int) -> tuple[bool, bool]:
-    """Whether the nonzero value is a unit of Z[W], and whether that was
-    certified without trial division.
-
-    Let m be the odd part of value's numerator. When m == 1 or root**2 = -1
-    (mod m), -1 is a square modulo every prime p | m, so p = 1 mod 4 by
-    Euler's criterion; with 2 a W prime, value is a unit. Otherwise
-    value.is_unit() decides by trial division.
-    """
-    n = abs(value.num)
-    m = n >> ((n & -n).bit_length() - 1)
-    if m == 1 or pow(root, 2, m) == m - 1:
-        return True, True
-    return value.is_unit(), False
+def _certifies_unit(value: WRational, root: int) -> bool:
+    """Whether root**2 = -1 modulo value's positive numerator n, which proves
+    value a unit of Z[W]: -1 is then a square modulo every odd prime p | n,
+    so p = 1 mod 4 by Euler's criterion, and 2 is a W prime."""
+    n = value.num
+    return pow(root, 2, n) == n - 1
 
 
 def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
-    """Evaluate x**2 + 1 at seeded random elements of Z[W] and test every value
-    for unit-ness.
+    """Evaluate x**2 + 1 at seeded random elements of Z[W] and prove every
+    value a unit.
 
     Arguments are a/b with |a| <= 10**4 and b a product of at most two of the
     allowed primes below 100. For the reduced argument a/b the value is
     (a**2 + b**2)/b**2, and since b is prime to a**2 + b**2, a * b**-1 is a
-    square root of -1 modulo it. That root certifies each verdict (see
-    _unit_verdict); a value it failed to certify would go to trial division,
-    and none does.
+    square root of -1 modulo the numerator, which certifies the value (see
+    _certifies_unit). A value it fails to certify would be an arithmetic bug
+    and raises VerificationError.
     """
     trials = ZZ.coerce(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     seed = ZZ.coerce(seed)
     rng = random.Random(seed)
-    failures = []
-    certified = 0
     for _ in range(trials):
         a = rng.randint(-10_000, 10_000)
         b = math.prod(
@@ -481,11 +395,9 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
         argument = WRational(a, b)
         value = argument * argument + 1
         root = argument.num * pow(argument.den, -1, value.num)
-        unit, proved = _unit_verdict(value, root)
-        certified += proved
-        if not unit:
-            failures.append((argument, value))
-    return ZWUnitReport(trials, seed, tuple(failures), certified, trials - certified)
+        if not _certifies_unit(value, root):
+            raise VerificationError(f"({argument})^2 + 1 = {value} was not certified a unit")
+    return ZWUnitReport(trials, seed, trials)
 
 
 @dataclass(frozen=True)
@@ -558,8 +470,9 @@ def cheb_certify(n: int, eval_range: Iterable[int] | None = None) -> ChebCertify
     pair = _cheb_pair(n)
     divisor = pair.p
     dividend = Poly._trusted(_cheb_u(2 * n - 1), ZZ)
-    samples = list(eval_range) if eval_range is not None else default_samples()
-    evaluation = eval_divisibility(dividend, divisor, samples)
+    if eval_range is None:
+        eval_range = range(-DEFAULT_WINDOW, DEFAULT_WINDOW + 1)
+    evaluation = eval_divisibility(dividend, divisor, eval_range)
     quotient = pair.q * 2
     if divisor * quotient != dividend:
         raise VerificationError("certified quotient failed re-expansion")

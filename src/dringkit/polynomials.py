@@ -78,6 +78,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, coeff, power: int, ring: CoefficientRing = ZZ) -> "Poly":
+        if power < 0:
+            raise ValueError("a monomial's power must not be negative")
         return cls((0,) * power + (coeff,), ring)
 
     def degree(self) -> int | None:

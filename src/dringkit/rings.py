@@ -542,16 +542,5 @@ class WRational:
     def __bool__(self) -> bool:
         return self.num != 0
 
-    def is_unit(self) -> bool:
-        """True when the inverse also lies in the ring, i.e. every prime factor
-        of the reduced numerator is 2 or 1 mod 4. The numerator is capped like
-        the denominator, which bounds the trial division."""
-        if self.num == 0:
-            raise ZeroInputError("zero is not a unit candidate")
-        n = abs(self.num)
-        if n > _MAX_W_DENOMINATOR:
-            raise ValueError(f"reduced numerator exceeds {_MAX_W_DENOMINATOR}")
-        return _first_non_w_prime(n) is None
-
     def __str__(self) -> str:
         return f"{_decimal(self.num)}/{_decimal(self.den)}"

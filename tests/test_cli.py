@@ -8,10 +8,9 @@ import sys
 
 import pytest
 
-from dringkit import Poly, QuadRing, cli, lab, parse_poly
+from dringkit import Poly, QuadRing, VerificationError, cli, lab, parse_poly
 from dringkit.cli import CHEB_N_CAP, SAMPLE_POINT_CAP, SF_LIMIT_CAP, ZWDEMO_TRIALS_CAP, main
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
-from dringkit.rings import WRational
 from helpers import quad_gcd_reference
 
 
@@ -384,7 +383,7 @@ def test_zwdemo_runs_clean(capsys):
     assert code == 0
     assert payload["trials"] == "200"
     assert payload["passes"] == "200"
-    assert payload["failures"] == []
+    assert payload["certified"] == "200"
     assert payload["seed"] == "5"
 
 
@@ -393,41 +392,27 @@ def test_zwdemo_default_seed(capsys, monkeypatch):
     monkeypatch.setenv("DRINGKIT_SEED", "4242")
     code, out, err = run(capsys, "zwdemo", "--trials", "20")
     assert (code, err) == (0, "")
-    assert out == f"trials: 20  passes: 20  failures: 0  (seed {lab.DEFAULT_DEMO_SEED})\n"
+    assert out == f"trials: 20  passes: 20  (seed {lab.DEFAULT_DEMO_SEED})\n"
     code, payload = run_json(capsys, "zwdemo", "--trials", "20")
     assert code == 0
     assert payload == {
         "certified": "20",
         "command": "zwdemo",
-        "failures": [],
         "passes": "20",
         "seed": str(lab.DEFAULT_DEMO_SEED),
-        "trial_division": "0",
         "trials": "20",
     }
 
 
-def test_zwdemo_reports_a_counterexample_and_exits_one(capsys, monkeypatch):
-    argument = WRational(3, 1)
-    report = lab.ZWUnitReport(2, 11, ((argument, argument * argument + 1),))
-    monkeypatch.setattr(cli, "zw_unit_demo", lambda trials, seed: report)
+def test_zwdemo_reports_an_uncertified_value_as_an_error(capsys, monkeypatch):
+    # Every value is certified (see lab.zw_unit_demo); one that is not would
+    # be an arithmetic bug, not a negative verdict.
+    monkeypatch.setattr(lab, "_certifies_unit", lambda value, root: False)
+    uncertified = r"^\(-?\d+/\d+\)\^2 \+ 1 = \d+/\d+ was not certified a unit$"
+    with pytest.raises(VerificationError, match=uncertified) as raised:
+        lab.zw_unit_demo(2, 11)
     code, out, err = run(capsys, "zwdemo", "--trials", "2", "--seed", "11")
-    assert (code, err) == (1, "")
-    assert out == (
-        "trials: 2  passes: 1  failures: 1  (seed 11)\n"
-        "COUNTEREXAMPLE: (3/1)^2 + 1 = 10/1 is not a unit\n"
-    )
-    code, payload = run_json(capsys, "zwdemo", "--trials", "2", "--seed", "11")
-    assert code == 1
-    assert payload == {
-        "certified": "0",
-        "command": "zwdemo",
-        "failures": [{"argument": "3/1", "value": "10/1"}],
-        "passes": "1",
-        "seed": "11",
-        "trial_division": "0",
-        "trials": "2",
-    }
+    assert (code, out, err) == (2, "", f"error: {raised.value}\n")
 
 
 def test_zwdemo_trials_above_the_cap_is_a_usage_error(capsys, monkeypatch):

@@ -15,21 +15,15 @@ from dringkit import (
     NotPrimitiveError,
     Poly,
     QuadRing,
-    SearchCapExceededError,
-    SearchPreconditionError,
     UnsupportedRingError,
     VerificationError,
     ZZ,
-    ZeroInputError,
     certify_divisibility,
     cheb_certify,
     cheb_generate,
-    degree_dichotomy_check,
     eval_divisibility,
-    growth_witness,
     parse_poly,
     primes_up_to,
-    sf_difference_growth,
     sf_search,
     witness_scan_order,
     zw_unit_demo,
@@ -190,92 +184,6 @@ def test_certify_may_exhaust_a_tiny_bound():
     assert cert.witness is None  # g(0) = 4 divides f(0) = 0; scan stops at 0
 
 
-# --- degree dichotomy -------------------------------------------------------
-
-
-def test_degree_dichotomy_consistent_on_fermat_instance():
-    assert degree_dichotomy_check(FERMAT_F, FIVE, range(-20, 21)) == "CONSISTENT"
-
-
-def test_degree_dichotomy_zero_dividend_branch():
-    assert degree_dichotomy_check(Poly(()), Poly((0, 1)), range(-5, 6)) == "CONSISTENT"
-
-
-def test_degree_dichotomy_refuted_by_samples():
-    verdict = degree_dichotomy_check(Poly((1,)), Poly((0, 0, 1)), range(-10, 11))
-    assert verdict == "REFUTES_SAMPLES"
-
-
-def test_degree_dichotomy_never_violates_on_random_multiples():
-    rng = random.Random(3001)
-    for _ in range(200):
-        g = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 9)])
-        f = g * Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 9)])
-        assert degree_dichotomy_check(f, g, range(-20, 21)) == "CONSISTENT"
-
-
-def test_degree_dichotomy_never_violates_on_arbitrary_pairs():
-    rng = random.Random(3004)
-    for _ in range(300):
-        f = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))])
-        g = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 9)])
-        assert degree_dichotomy_check(f, g, range(-20, 21)) != "VIOLATION"
-
-
-# --- growth witness ---------------------------------------------------------
-
-
-def _growth_oracle(f, g):
-    k = 1
-    while True:
-        if g.evaluate(k) != 0 and abs(g.evaluate(k)) > abs(f.evaluate(k)) > 0:
-            return k
-        k += 1
-
-
-@pytest.mark.parametrize(
-    "f,g,expected",
-    [
-        (parse_poly("x"), parse_poly("x^2 + 1"), 1),
-        (parse_poly("5"), parse_poly("x^2"), 3),
-        (parse_poly("1"), parse_poly("x"), 2),
-    ],
-)
-def test_growth_witness_examples(f, g, expected):
-    assert growth_witness(f, g) == expected == _growth_oracle(f, g)
-
-
-def test_growth_witness_forces_non_divisibility():
-    rng = random.Random(3002)
-    for _ in range(100):
-        f = Poly([rng.randint(-30, 30) for _ in range(3)] + [rng.randint(1, 30)])
-        g = Poly([rng.randint(-30, 30) for _ in range(6)] + [rng.randint(1, 30)])
-        k = growth_witness(f, g)
-        assert k == _growth_oracle(f, g)
-        assert f.evaluate(k) % g.evaluate(k) != 0
-
-
-def test_growth_witness_preconditions():
-    with pytest.raises(SearchPreconditionError):
-        growth_witness(Poly(()), parse_poly("x^2"))
-    with pytest.raises(SearchPreconditionError):
-        growth_witness(parse_poly("x^2"), parse_poly("x"))
-
-
-def test_growth_witness_rejects_quadratic_coefficients():
-    gauss = QuadRing(-1)
-    with pytest.raises(UnsupportedRingError):
-        growth_witness(parse_poly("x", gauss), parse_poly("x^2", gauss))
-
-
-def test_growth_witness_stops_at_the_scan_cap(monkeypatch):
-    f, g = parse_poly("1000000"), parse_poly("x^2")
-    assert growth_witness(f, g) == 1001
-    monkeypatch.setattr(lab, "GROWTH_SCAN_CAP", 100)
-    with pytest.raises(SearchCapExceededError):
-        growth_witness(f, g)
-
-
 # --- prime solvability search ------------------------------------------------
 
 
@@ -325,39 +233,6 @@ def test_primes_up_to_matches_trial_division():
     sieved = primes_up_to(500)
     assert sieved == [n for n in range(501) if brute_is_prime(n)]
     assert primes_up_to(1) == []
-
-
-def test_sf_difference_growth_is_monotone():
-    counts = sf_difference_growth(parse_poly("x^2 + 1"), 6, [50, 100, 200, 400])
-    assert [limit for limit, _ in counts] == [50, 100, 200, 400]
-    values = [count for _, count in counts]
-    assert values == sorted(values)
-    assert values[-1] > values[0]
-    # 2 divides c = 6, so only the odd primes = 1 mod 4 remain
-    assert values[0] == sum(
-        1 for p in primes_up_to(50) if p % 4 == 1
-    )
-    with pytest.raises(ZeroInputError):
-        sf_difference_growth(parse_poly("x^2 + 1"), 0, [10])
-
-
-def test_sf_difference_growth_needs_a_limit():
-    with pytest.raises(ValueError):
-        sf_difference_growth(parse_poly("x^2 + 1"), 6, [])
-
-
-def test_sf_difference_growth_sorts_its_limits_and_refuses_floats():
-    f = parse_poly("x^2 + 1")
-    assert sf_difference_growth(f, 1, [13, 10]) == [(10, 2), (13, 3)]
-    with pytest.raises(TypeError, match="exact integer required, got float"):
-        sf_difference_growth(f, 1, [10.9])
-    with pytest.raises(TypeError, match="exact integer required, got float"):
-        sf_difference_growth(f, 1, [10, 20.0])
-
-
-def test_sf_difference_growth_refuses_a_float_c():
-    with pytest.raises(TypeError, match="exact integer required, got float"):
-        sf_difference_growth(parse_poly("x^2 + 1"), 2.5, [30])
 
 
 # --- Z[W] unit demo ----------------------------------------------------------

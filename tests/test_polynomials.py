@@ -63,6 +63,15 @@ def test_leading_coefficient_of_zero_raises():
         Poly(()).leading_coefficient()
 
 
+@pytest.mark.parametrize("ring, coeff", [(ZZ, 5), (GAUSS, GAUSS.element(2, -1))], ids=["Z", "Z[i]"])
+def test_monomial_refuses_a_negative_power(ring, coeff):
+    assert Poly.monomial(coeff, 0, ring) == Poly.constant(coeff, ring)
+    assert Poly.monomial(coeff, 2, ring) == Poly((0, 0, coeff), ring)
+    for power in (-1, -2):
+        with pytest.raises(ValueError, match="must not be negative"):
+            Poly.monomial(coeff, power, ring)
+
+
 # --- ring arithmetic ------------------------------------------------------
 
 

@@ -563,16 +563,6 @@ def test_wrational_reduction_can_remove_bad_primes():
     assert WRational(3, 3) == WRational(1, 1)
 
 
-def test_wrational_unit_examples():
-    assert WRational(5, 2).is_unit()
-    assert not WRational(3, 1).is_unit()
-    assert WRational(1, 1).is_unit()
-    assert WRational(-5, 2).is_unit()  # -1 is invertible
-    assert not WRational(-3, 1).is_unit()
-    with pytest.raises(ZeroInputError):
-        WRational(0, 1).is_unit()
-
-
 def test_wrational_arithmetic():
     half = WRational(1, 2)
     assert half + half == WRational(1, 1)

@@ -1,11 +1,11 @@
 """Z[W] membership by early-exit trial division, against factorisation oracles.
 
-`rings._first_non_w_prime` decides both the denominator check of `WRational`
-and `WRational.is_unit`. The slow path it replaced, `factorize`, is the
-first oracle; sympy's `factorint` is the second. It is in turn the oracle of
-the two paths that skip it: the verdicts of `zw_unit_demo`, certified by a
-square root of -1, and `WRational` arithmetic, which builds its results
-without re-checking their denominators.
+`rings._first_non_w_prime` decides the denominator check of `WRational`. The
+slow path it replaced, `factorize`, is the first oracle; sympy's `factorint`
+is the second. It is in turn the oracle of the two paths that skip it: the
+values of `zw_unit_demo`, each proved a unit by a square root of -1, and
+`WRational` arithmetic, which builds its results without re-checking their
+denominators.
 """
 
 import hashlib
@@ -15,10 +15,19 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dringkit import DenominatorNotInW, WRational, factorize, lab, rings, zw_unit_demo
+from dringkit import (
+    DenominatorNotInW,
+    WRational,
+    factorize,
+    is_w_prime,
+    lab,
+    primes_up_to,
+    rings,
+    zw_unit_demo,
+)
 from dringkit.rings import _W_TABLE_LIMIT, _first_non_w_prime, _odd_prime_table
 
 CAP = 10**12
@@ -47,13 +56,6 @@ products_of_primes_and_more = st.lists(
     st.integers(min_value=2, max_value=10**6), min_size=1, max_size=4
 ).map(math.prod).filter(lambda n: n <= CAP)
 up_to_cap = st.one_of(st.integers(min_value=1, max_value=CAP), products_of_primes_and_more)
-
-
-@settings(max_examples=150, deadline=None)
-@given(n=up_to_cap)
-def test_is_unit_matches_factorize(n):
-    assert WRational(n).is_unit() == (least_non_w_prime(n) is None)
-    assert WRational(-n).is_unit() == WRational(n).is_unit()
 
 
 @settings(max_examples=150, deadline=None)
@@ -94,7 +96,6 @@ EDGE_CASES = [
 def test_edge_cases(n, expected):
     assert least_non_w_prime(n) == expected
     assert _first_non_w_prime(n) == expected
-    assert WRational(n).is_unit() == (expected is None)
     assert membership_outcome(n) == expected_outcome(n)
 
 
@@ -115,21 +116,6 @@ def test_matches_sympy_factorint():
         assert _first_non_w_prime(n) == expected, n
 
 
-def test_is_unit_rejects_a_numerator_over_the_cap_before_trial_division(monkeypatch):
-    assert WRational(CAP).is_unit()  # 2^12 * 5^12, exactly at the cap
-    big_prime = WRational(2**127 - 1)  # 39 digits; trial division would not end
-    just_over = WRational(-(CAP + 1))
-
-    def no_trial_division(n):
-        raise AssertionError(f"trial division of {n} past the cap")
-
-    monkeypatch.setattr(rings, "_first_non_w_prime", no_trial_division)
-    with pytest.raises(ValueError, match="numerator exceeds"):
-        big_prime.is_unit()
-    with pytest.raises(ValueError, match="numerator exceeds"):
-        just_over.is_unit()
-
-
 def test_the_prime_table_is_not_built_at_import():
     code = (
         "import dringkit, dringkit.cli\n"
@@ -148,57 +134,43 @@ DEMO_GOLDEN = {1729: "5a2c0fc7ad5abe31", 1: "5602676d8316e497", 2: "3f7817626902
 
 @pytest.mark.parametrize("seed", sorted(DEMO_GOLDEN))
 def test_zw_unit_demo_matches_the_factorize_implementation(seed, monkeypatch):
-    original = lab._unit_verdict
+    original = lab._certifies_unit
     seen = []
 
     def recording(value, root):
-        unit, certified = original(value, root)
-        seen.append(f"{value}:{unit}")
-        return unit, certified
+        certified = original(value, root)
+        seen.append(f"{value}:{certified}")
+        return certified
 
-    monkeypatch.setattr(lab, "_unit_verdict", recording)
+    monkeypatch.setattr(lab, "_certifies_unit", recording)
     report = zw_unit_demo(3000, seed)
-    assert (report.trials, report.seed, report.failures) == (3000, seed, ())
-    assert (report.certified, report.trial_division) == (3000, 0)
+    assert (report.trials, report.seed, report.certified) == (3000, seed, 3000)
     assert len(seen) == 3000
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest()[:16] == DEMO_GOLDEN[seed]
 
 
-@st.composite
-def odd_moduli_with_candidate_roots(draw):
-    """(m, u): m odd and positive, u an integer to try as a square root of -1
-    modulo m. One case in three takes m from the odd part of a**2 + b**2 with
-    gcd(a, b) = 1 and u = a/b mod m, a true root; one takes u = -1, a root
-    only for m = 1; the rest draw u at random, so the certificate mostly
-    fails and the trial-division fallback decides."""
-    kind = draw(st.sampled_from(("sum of two squares", "minus one", "random")))
-    if kind == "sum of two squares":
-        a = draw(st.integers(min_value=-10**5, max_value=10**5))
-        b = draw(st.integers(min_value=1, max_value=10**5))
-        g = math.gcd(a, b)
-        a, b = a // g, b // g
-        n = a * a + b * b
-        m = n >> ((n & -n).bit_length() - 1)
-        return m, a * pow(b, -1, m)
-    m = 2 * draw(st.integers(min_value=0, max_value=5 * 10**8)) + 1
-    if kind == "minus one":
-        return m, -1
-    return m, draw(st.integers(min_value=-10**12, max_value=10**12))
+W_PRIMES_UNDER_1000 = [p for p in primes_up_to(1000) if is_w_prime(p)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=odd_moduli_with_candidate_roots(), twos=st.integers(min_value=0, max_value=5),
-       sign=st.sampled_from((1, -1)))
-@example(case=(3, -1), twos=0, sign=1)  # -1 is no square mod 3
-@example(case=(21, 20), twos=1, sign=1)  # 20 = -1 mod 21, but 20**2 = 1
-@example(case=(5, 2), twos=0, sign=1)  # certified: 2**2 = -1 mod 5
-@example(case=(5, 1), twos=2, sign=-1)  # a unit the certificate misses
-@example(case=(1, 0), twos=3, sign=1)
-def test_unit_verdict_matches_trial_division(case, twos, sign):
-    m, u = case
-    unit, certified = lab._unit_verdict(WRational(sign * (m << twos)), u)
-    assert unit == (_first_non_w_prime(m) is None)
-    assert certified == ((u * u + 1) % m == 0)
+@given(a=st.integers(min_value=-10**6, max_value=10**6),
+       b=st.lists(st.sampled_from(W_PRIMES_UNDER_1000), max_size=2).map(math.prod))
+@example(a=0, b=1)  # the value 1
+@example(a=1, b=1)  # numerator 2, odd part 1
+@example(a=-1, b=2)  # 5/4
+@example(a=999_999, b=997**2)  # odd part near the cap
+def test_unit_verdict_matches_trial_division(a, b):
+    # For coprime a and b, b is prime to n = a^2 + b^2, so u = a/b mod n
+    # squares to -1 mod n; every odd prime of n is then 1 mod 4.
+    assume(math.gcd(a, b) == 1)
+    n = a * a + b * b
+    m = n >> ((n & -n).bit_length() - 1)
+    assume(m <= CAP)
+    u = a * pow(b, -1, n)
+    assert (u * u + 1) % m == 0
+    assert _first_non_w_prime(m) is None
+    argument = WRational(a, b)
+    assert lab._certifies_unit(argument * argument + 1, u)
 
 
 w_denominators = st.lists(st.sampled_from((2, 5, 13, 17, 29, 37, 41)), max_size=5).map(math.prod)
