@@ -113,7 +113,7 @@ def _eval_report(report, ring) -> tuple[dict, list[str]]:
 
 
 def _cmd_divides(args) -> tuple[dict, list[str], bool]:
-    _check_point_cap("--bound", args.bound)
+    _check_option("--bound", args.bound, 0, SAMPLE_POINT_CAP)
     ring, f, g, payload = _operands(args, "f", "g")
     payload["bound"] = _decimal(args.bound)
     lines = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import RingMismatchError, UnsupportedRingError, VerificationError
+from .errors import UnsupportedRingError, VerificationError
 from .polynomials import Poly
 from .rings import ZZ, QuadInt, QuadRing
 
@@ -82,10 +82,7 @@ def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferRep
     are dropped, so the report does not depend on evaluation order. A sample
     that is not an int, such as a float, raises TypeError.
     """
-    if f.ring != g.ring:
-        raise RingMismatchError(
-            f"cannot compare polynomials over {f.ring} and {g.ring}"
-        )
+    f._check_ring(g)
     if not g:
         raise ZeroDivisionError("the divisor polynomial is zero")
     dividend_norm = norm_poly(f)

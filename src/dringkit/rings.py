@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, count
 
 from .errors import (
     DenominatorNotInW,
@@ -26,7 +24,8 @@ NORM_EUCLIDEAN_D = frozenset(
 )
 
 _MAX_ABS_D = 10**6
-_MAX_W_DENOMINATOR = 10**12
+# The bound of trial division, and so of every Z[W] denominator it checks.
+_TRIAL_DIVISION_CAP = 10**12
 
 
 def _decimal(n: int) -> str:
@@ -46,41 +45,46 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(half)
 
 
-def is_squarefree(n: int) -> bool:
-    """True when no prime square divides n (n must be nonzero)."""
-    n = abs(ZZ.coerce(n))
-    if n == 0:
-        return False
-    p = 2
+def _prime_factors(n: int):
+    """Yield (p, e) for each prime power p**e exactly dividing 1 <= n <= 10**12,
+    in ascending order of p.
+
+    Trial division: the factors of 2 are shifted out, then odd candidates
+    are tried until p * p exceeds the cofactor, which is then 1 or a prime.
+    A caller that stops early stops the division, and the bound caps the
+    work at about 5 * 10^5 divisions.
+    """
+    if n > _TRIAL_DIVISION_CAP:
+        raise ValueError(f"trial division is capped at n <= {_TRIAL_DIVISION_CAP}")
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        yield 2, twos
+        n >>= twos
+    p = 3
     while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-        p += 1 if p == 2 else 2
-    return True
+        if not n % p:
+            e = 0
+            while not n % p:
+                n //= p
+                e += 1
+            yield p, e
+        p += 2
+    if n > 1:
+        yield n, 1
+
+
+def is_squarefree(n: int) -> bool:
+    """True when no prime square divides n, for |n| <= 10**12; False for 0."""
+    n = abs(ZZ.coerce(n))
+    return n != 0 and all(e == 1 for _, e in _prime_factors(n))
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Factor n >= 1 by trial division, returning {prime: exponent}."""
+    """Factor 1 <= n <= 10**12 by trial division, returning {prime: exponent}."""
     n = ZZ.coerce(n)
     if n < 1:
         raise ValueError("factorize expects n >= 1")
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    q = 5
-    while q * q <= n:
-        for p in (q, q + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        q += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return dict(_prime_factors(n))
 
 
 def is_w_prime(p: int) -> bool:
@@ -100,36 +104,13 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i, flag in enumerate(flags) if flag]
 
 
-# Trial divisors for Z[W] membership: the odd primes below 2^16, sieved on
-# first use rather than at import.
-_W_TABLE_LIMIT = 2**16
-
-
-@cache
-def _odd_prime_table() -> tuple[int, ...]:
-    return tuple(primes_up_to(_W_TABLE_LIMIT)[1:])
-
-
 def _first_non_w_prime(n: int) -> int | None:
-    """The least prime factor of n >= 1 that is 3 mod 4, or None when every
-    prime factor is 2 or 1 mod 4.
-
-    Trial division that returns at the first factor 3 mod 4 and divides out
-    each factor 1 mod 4. Once p * p exceeds the cofactor m, m is 1 or a prime
-    larger than every divisor tried. Past the prime table the odd numbers
-    serve as candidates, so the cost is O(sqrt n) divisions at worst.
-    """
-    m = n >> ((n & -n).bit_length() - 1)
-    for p in chain(_odd_prime_table(), count(_W_TABLE_LIMIT + 1, 2)):
-        if p * p > m:
-            break
-        if not m % p:
-            if not is_w_prime(p):
-                return p
-            m //= p
-            while not m % p:
-                m //= p
-    return None if is_w_prime(m) else m
+    """The least prime factor of 1 <= n <= 10**12 that is 3 mod 4, or None
+    when every prime factor is 2 or 1 mod 4."""
+    for p, _ in _prime_factors(n):
+        if not is_w_prime(p):
+            return p
+    return None
 
 
 class IntegerRing:
@@ -497,8 +478,8 @@ class WRational:
         g = math.gcd(num, den)  # a TypeError for a float
         num //= g  # a plain int also for a bool
         den //= g
-        if den > _MAX_W_DENOMINATOR:
-            raise ValueError(f"reduced denominator exceeds {_MAX_W_DENOMINATOR}")
+        if den > _TRIAL_DIVISION_CAP:
+            raise ValueError(f"reduced denominator exceeds {_TRIAL_DIVISION_CAP}")
         x = object.__new__(cls)
         object.__setattr__(x, "num", num)
         object.__setattr__(x, "den", den)

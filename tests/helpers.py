@@ -155,6 +155,35 @@ def sf_search_scan(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
     return records
 
 
+# --- reference factorisation -------------------------------------------------
+#
+# The 6k±1 wheel that rings.factorize used before it shared the library's
+# trial-division generator: the oracle of factorize, is_squarefree and Z[W]
+# membership.
+
+
+def factorize_reference(n: int) -> dict[int, int]:
+    """Factor n >= 1 by trial division, returning {prime: exponent}."""
+    n = ZZ.coerce(n)
+    if n < 1:
+        raise ValueError("factorize expects n >= 1")
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    q = 5
+    while q * q <= n:
+        for p in (q, q + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        q += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 # --- reference parser ---------------------------------------------------------
 #
 # The character-by-character tokenizer and recursive-descent parser that the

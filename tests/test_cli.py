@@ -85,7 +85,7 @@ def test_divides_negative_bound_is_a_usage_error(capsys, bound):
     code, out, err = run(capsys, "divides", "x+60", "x", "--bound", bound)
     assert code == 2
     assert out == ""
-    assert err == "error: the witness search bound must not be negative\n"
+    assert err == "error: --bound must be at least 0\n"
 
 
 def test_divides_bound_zero_stays_valid(capsys):
@@ -237,6 +237,14 @@ def test_sample_points_at_the_cap_run(capsys, argv, code):
     assert run(capsys, *argv)[0] == code
 
 
+# The window ends are signed and capped in absolute value; --bound is a scan
+# radius, checked against 0..cap like --limit, --n and --trials.
+BOUND_ERRORS = {
+    OVER: f"error: --bound must not exceed {SAMPLE_POINT_CAP}\n",
+    "-" + OVER: "error: --bound must be at least 0\n",
+}
+
+
 @pytest.mark.parametrize("argv, option", [
     (["evalcheck", "x", "x+1", "--from", "-" + OVER], "--from"),
     (["evalcheck", "x", "x+1", "--to", OVER], "--to"),
@@ -255,7 +263,10 @@ def test_sample_points_over_the_cap_are_usage_errors(capsys, monkeypatch, argv, 
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: |{option}| must not exceed {SAMPLE_POINT_CAP}\n"
+    expected = f"error: |{option}| must not exceed {SAMPLE_POINT_CAP}\n"
+    if option == "--bound":
+        expected = BOUND_ERRORS[argv[-1]]
+    assert err == expected
 
 
 # --- sf -------------------------------------------------------------------------

@@ -591,6 +591,21 @@ def test_factorize_and_is_squarefree_reject_zero():
     assert not is_squarefree(0)
 
 
+def test_factorize_and_is_squarefree_are_bounded_at_10_to_the_12():
+    assert factorize(10**12) == {2: 12, 5: 12}
+    assert factorize(999_999_999_989) == {999_999_999_989: 1}  # a prime
+    assert not is_squarefree(10**12) and not is_squarefree(-(10**12))
+    assert is_squarefree(999_999_999_989)
+    message = "trial division is capped at n <= 1000000000000"
+    for n in (10**12 + 1, 2**61 - 1):
+        with pytest.raises(ValueError, match=message):
+            factorize(n)
+        with pytest.raises(ValueError, match=message):
+            is_squarefree(n)
+        with pytest.raises(ValueError, match=message):
+            is_squarefree(-n)
+
+
 def test_factorize_refuses_a_float():
     with pytest.raises(TypeError, match="exact integer required, got float"):
         factorize(1.5)

@@ -1,18 +1,19 @@
-"""Z[W] membership by early-exit trial division, against factorisation oracles.
+"""Trial division against factorisation oracles: Z[W] membership, factorize
+and is_squarefree.
 
-`rings._first_non_w_prime` decides the denominator check of `WRational`. The
-slow path it replaced, `factorize`, is the first oracle; sympy's `factorint`
-is the second. It is in turn the oracle of the two paths that skip it: the
-values of `zw_unit_demo`, each proved a unit by a square root of -1, and
-`WRational` arithmetic, which builds its results without re-checking their
-denominators.
+`rings._prime_factors` is the one trial-division loop. Through
+`_first_non_w_prime` it decides the denominator check of `WRational`, and it
+is `factorize` and `is_squarefree`. The 6k±1 wheel that `factorize` used
+before, kept as `helpers.factorize_reference`, is the first oracle of all
+three; sympy's `factorint` is the second. The membership check is in turn the
+oracle of the two paths that skip it: the values of `zw_unit_demo`, each
+proved a unit by a square root of -1, and `WRational` arithmetic, which
+builds its results without re-checking their denominators.
 """
 
 import hashlib
 import math
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,20 +23,23 @@ from dringkit import (
     DenominatorNotInW,
     WRational,
     factorize,
+    is_squarefree,
     is_w_prime,
     lab,
     primes_up_to,
     rings,
     zw_unit_demo,
 )
-from dringkit.rings import _W_TABLE_LIMIT, _first_non_w_prime, _odd_prime_table
+from dringkit.rings import _first_non_w_prime
+
+from helpers import factorize_reference
 
 CAP = 10**12
 
 
 def least_non_w_prime(n):
-    """The slow path: factorise n and pick the least prime factor 3 mod 4."""
-    return min((p for p in factorize(n) if p % 4 == 3), default=None)
+    """Factorise n with the reference wheel and pick the least prime factor 3 mod 4."""
+    return min((p for p in factorize_reference(n) if p % 4 == 3), default=None)
 
 
 def membership_outcome(n):
@@ -58,19 +62,32 @@ products_of_primes_and_more = st.lists(
 up_to_cap = st.one_of(st.integers(min_value=1, max_value=CAP), products_of_primes_and_more)
 
 
+def assert_factorisation_matches_the_wheel(n):
+    expected = factorize_reference(n)
+    # the same dict, with its keys in the same, ascending, order
+    assert list(factorize(n).items()) == list(expected.items()), n
+    squarefree = all(e == 1 for e in expected.values())
+    assert is_squarefree(n) is squarefree and is_squarefree(-n) is squarefree, n
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=up_to_cap)
+@example(n=CAP)
+@example(n=999_999_999_989)  # the largest prime below 10^12
+@example(n=999_983**2)
 def test_denominator_check_matches_factorize(n):
     assert membership_outcome(n) == expected_outcome(n)
+    assert_factorisation_matches_the_wheel(n)
 
 
 def test_small_range_matches_factorize_exhaustively():
-    for n in range(1, 20_000):
+    for n in range(1, 20_001):
         assert _first_non_w_prime(n) == least_non_w_prime(n), n
+        assert_factorisation_matches_the_wheel(n)
 
 
-LARGEST_TABLE_PRIME = 65521
-# 65539 and 65543 are both 3 mod 4 and the first such primes past the table.
+# 65521 is the largest prime below 2^16; 65539 and 65543 are the first primes
+# 3 mod 4 above it, and 65537 = 2^16 + 1 is a prime 1 mod 4.
 EDGE_CASES = [
     (1, None),
     (2, None),
@@ -79,8 +96,8 @@ EDGE_CASES = [
     (49, 7),
     (3 * 5**4, 3),
     (5**3 * 7**2 * 13, 7),
-    (LARGEST_TABLE_PRIME, None),
-    (LARGEST_TABLE_PRIME**2, None),
+    (65521, None),
+    (65521**2, None),
     (65537, None),
     (65539, 65539),
     (2**5 * 65537, None),
@@ -95,15 +112,9 @@ EDGE_CASES = [
 @pytest.mark.parametrize("n, expected", EDGE_CASES)
 def test_edge_cases(n, expected):
     assert least_non_w_prime(n) == expected
+    assert factorize(n) == factorize_reference(n)
     assert _first_non_w_prime(n) == expected
     assert membership_outcome(n) == expected_outcome(n)
-
-
-def test_table_ends_at_the_largest_prime_below_its_limit():
-    table = _odd_prime_table()
-    assert table[0] == 3 and table[-1] == LARGEST_TABLE_PRIME < _W_TABLE_LIMIT
-    assert factorize(LARGEST_TABLE_PRIME) == {LARGEST_TABLE_PRIME: 1}
-    assert factorize(65539) == {65539: 1} and factorize(65543) == {65543: 1}
 
 
 def test_matches_sympy_factorint():
@@ -112,19 +123,11 @@ def test_matches_sympy_factorint():
     values = [rng.randrange(1, 10**k) for k in range(2, 13) for _ in range(40)]
     values += [p * q for p, q in zip(sympy.primerange(65_500, 66_000), sympy.primerange(70_000, 71_000))]
     for n in values:
-        expected = min((p for p in sympy.factorint(n) if p % 4 == 3), default=None)
+        factors = sympy.factorint(n)
+        expected = min((p for p in factors if p % 4 == 3), default=None)
         assert _first_non_w_prime(n) == expected, n
-
-
-def test_the_prime_table_is_not_built_at_import():
-    code = (
-        "import dringkit, dringkit.cli\n"
-        "from dringkit.rings import _odd_prime_table\n"
-        "assert _odd_prime_table.cache_info().currsize == 0\n"
-        "dringkit.WRational(1, 5)\n"
-        "assert _odd_prime_table.cache_info().currsize == 1\n"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
+        assert factorize(n) == factors, n
+        assert is_squarefree(n) is all(e == 1 for e in factors.values()), n
 
 
 # Digests of "value:verdict" for every value the demo decided, and the
