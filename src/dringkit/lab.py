@@ -376,11 +376,12 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
     value a unit.
 
     Arguments are a/b with |a| <= 10**4 and b a product of at most two of the
-    allowed primes below 100. For the reduced argument a/b the value is
-    (a**2 + b**2)/b**2, and since b is prime to a**2 + b**2, a * b**-1 is a
-    square root of -1 modulo the numerator, which certifies the value (see
-    _certifies_unit). A value it fails to certify would be an arithmetic bug
-    and raises VerificationError.
+    allowed primes below 100, each validated by the WRational constructor.
+    For the reduced argument a/b the value is (a**2 + b**2)/b**2, built in
+    one step from that closed form, and since b is prime to a**2 + b**2,
+    a * b**-1 is a square root of -1 modulo the numerator, which certifies
+    the value (see _certifies_unit). A value it fails to certify would be an
+    arithmetic bug and raises VerificationError.
     """
     trials = ZZ.coerce(trials)
     if trials < 1:
@@ -393,8 +394,9 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
             rng.choice(W_PRIMES_UNDER_100) for _ in range(rng.randint(0, 2))
         )
         argument = WRational(a, b)
-        value = argument * argument + 1
-        root = argument.num * pow(argument.den, -1, value.num)
+        a, b = argument.num, argument.den
+        value = WRational._trusted(a * a + b * b, b * b)
+        root = a * pow(b, -1, value.num)
         if not _certifies_unit(value, root):
             raise VerificationError(f"({argument})^2 + 1 = {value} was not certified a unit")
     return ZWUnitReport(trials, seed, trials)

@@ -440,6 +440,17 @@ def quad_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
     return QuadInt(u[0], u[1], ring)
 
 
+def _reduce(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms as plain ints, for den > 0; the one place a
+    WRational is reduced and its denominator capped."""
+    g = math.gcd(num, den)  # a TypeError for a float
+    num //= g  # a plain int also for a bool
+    den //= g
+    if den > _TRIAL_DIVISION_CAP:
+        raise ValueError(f"reduced denominator exceeds {_TRIAL_DIVISION_CAP}")
+    return num, den
+
+
 @dataclass(frozen=True)
 class WRational:
     """Reduced fraction whose denominator factors over {2} and primes = 1 mod 4.
@@ -451,6 +462,7 @@ class WRational:
     product divides the product of two valid denominators, so every prime
     factor of it is already 2 or 1 mod 4. Results, and an int operand as n/1,
     are built by _trusted, which reduces and caps but does not trial-divide.
+    Both paths reduce and cap through _reduce.
     """
 
     num: int
@@ -462,24 +474,20 @@ class WRational:
             raise ZeroDivisionError("denominator must be nonzero")
         if den < 0:
             num, den = -num, -den
-        reduced = WRational._trusted(num, den)
-        p = _first_non_w_prime(reduced.den)
+        num, den = _reduce(num, den)
+        p = _first_non_w_prime(den)
         if p is not None:
             raise DenominatorNotInW(f"prime {p} divides the denominator but is 3 mod 4")
-        object.__setattr__(self, "num", reduced.num)
-        object.__setattr__(self, "den", reduced.den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _trusted(cls, num: int, den: int) -> "WRational":
         """num/den in lowest terms, for num and den > 0, reduced and capped
-        here only. Nothing is trial-divided: the constructor's trial division
+        by _reduce. Nothing is trial-divided: the constructor's trial division
         vouches for denominators from outside.
         """
-        g = math.gcd(num, den)  # a TypeError for a float
-        num //= g  # a plain int also for a bool
-        den //= g
-        if den > _TRIAL_DIVISION_CAP:
-            raise ValueError(f"reduced denominator exceeds {_TRIAL_DIVISION_CAP}")
+        num, den = _reduce(num, den)
         x = object.__new__(cls)
         object.__setattr__(x, "num", num)
         object.__setattr__(x, "den", den)

@@ -5,11 +5,13 @@ in [1, 12] unless stated otherwise, always from an explicitly seeded RNG so
 every run sees the same instances.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
 from dringkit import (
     ChebPair,
+    DenominatorNotInW,
     EmptySampleSetError,
     EvalDivReport,
     NORM_EUCLIDEAN_D,
@@ -21,15 +23,17 @@ from dringkit import (
     RingMismatchError,
     UnsupportedRingError,
     VerificationError,
+    WRational,
     ZeroInputError,
     ZZ,
     is_primitive,
     primes_up_to,
     primitive_part,
 )
+from dringkit.lab import W_PRIMES_UNDER_100
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
 from dringkit.polynomials import PseudoDivResult, _int_product
-from dringkit.rings import _round_half_to_zero
+from dringkit.rings import _TRIAL_DIVISION_CAP, _first_non_w_prime, _round_half_to_zero
 
 
 def rand_coeff(rng: random.Random, ring, bound: int = 50):
@@ -182,6 +186,47 @@ def factorize_reference(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# The WRational constructor as it was before it shared rings._reduce with
+# _trusted: it built a temporary through _trusted, whose reduction and cap are
+# inlined here, and read the reduced pair back from it.
+
+
+def wrational_reference(num, den) -> tuple[int, int]:
+    """The reduced (num, den) that WRational(num, den) stores, or what it raises."""
+    if den == 0:
+        raise ZeroDivisionError("denominator must be nonzero")
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)  # a TypeError for a float
+    num //= g  # a plain int also for a bool
+    den //= g
+    if den > _TRIAL_DIVISION_CAP:
+        raise ValueError(f"reduced denominator exceeds {_TRIAL_DIVISION_CAP}")
+    p = _first_non_w_prime(den)
+    if p is not None:
+        raise DenominatorNotInW(f"prime {p} divides the denominator but is 3 mod 4")
+    return num, den
+
+
+# The per-trial loop of lab.zw_unit_demo before it built each value from the
+# closed form (a^2 + b^2)/b^2: the value came from WRational arithmetic.
+
+
+def zw_values_reference(trials: int, seed: int) -> list[str]:
+    """str of each value x**2 + 1 that zw_unit_demo(trials, seed) certifies."""
+    rng = random.Random(seed)
+    values = []
+    for _ in range(trials):
+        a = rng.randint(-10_000, 10_000)
+        b = math.prod(
+            rng.choice(W_PRIMES_UNDER_100) for _ in range(rng.randint(0, 2))
+        )
+        argument = WRational(a, b)
+        value = argument * argument + 1
+        values.append(str(value))
+    return values
 
 
 # --- reference parser ---------------------------------------------------------

@@ -9,6 +9,12 @@ three; sympy's `factorint` is the second. The membership check is in turn the
 oracle of the two paths that skip it: the values of `zw_unit_demo`, each
 proved a unit by a square root of -1, and `WRational` arithmetic, which
 builds its results without re-checking their denominators.
+
+The constructor reduces and caps through `rings._reduce`, as `_trusted` does;
+its former body, `helpers.wrational_reference`, is its oracle. `zw_unit_demo` validates each argument through the constructor
+and builds the value from the closed form (a^2 + b^2)/b^2; its former loop,
+which squared the argument and added 1 by `WRational` arithmetic, is kept as
+`helpers.zw_values_reference`, the oracle of those values.
 """
 
 import hashlib
@@ -32,7 +38,7 @@ from dringkit import (
 )
 from dringkit.rings import _first_non_w_prime
 
-from helpers import factorize_reference
+from helpers import factorize_reference, wrational_reference, zw_values_reference
 
 CAP = 10**12
 
@@ -152,6 +158,44 @@ def test_zw_unit_demo_matches_the_factorize_implementation(seed, monkeypatch):
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest()[:16] == DEMO_GOLDEN[seed]
 
 
+def recorded_demo_values(trials, seed, monkeypatch):
+    """str of each value zw_unit_demo(trials, seed) hands to _certifies_unit."""
+    original = lab._certifies_unit
+    seen = []
+
+    def recording(value, root):
+        seen.append(str(value))
+        return original(value, root)
+
+    monkeypatch.setattr(lab, "_certifies_unit", recording)
+    zw_unit_demo(trials, seed)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 3, 99, 2**31 - 1])
+def test_zw_unit_demo_values_match_the_arithmetic_loop(seed, monkeypatch):
+    # Seeds outside DEMO_GOLDEN: the closed form against x * x + 1.
+    assert seed not in DEMO_GOLDEN
+    assert recorded_demo_values(3000, seed, monkeypatch) == zw_values_reference(3000, seed)
+
+
+def test_zw_unit_demo_validates_and_certifies_every_trial(monkeypatch):
+    # One validating construction (one trial division) and one certificate
+    # per trial: the count rings.WRational.constructed reads when traced.
+    calls = {"trial division": 0, "certificate": 0}
+
+    def counting(name, original):
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+        return spy
+
+    monkeypatch.setattr(rings, "_first_non_w_prime", counting("trial division", rings._first_non_w_prime))
+    monkeypatch.setattr(lab, "_certifies_unit", counting("certificate", lab._certifies_unit))
+    assert zw_unit_demo(200, 11).all_units
+    assert calls == {"trial division": 200, "certificate": 200}
+
+
 W_PRIMES_UNDER_1000 = [p for p in primes_up_to(1000) if is_w_prime(p)]
 
 
@@ -181,13 +225,15 @@ w_rationals = st.builds(WRational, st.integers(min_value=-10**6, max_value=10**6
 
 
 def outcome(compute):
-    """(num, den) of the result, or the type and message of what it raised."""
+    """(num, den) of the result, a WRational or a pair, or the type and
+    message of what it raised."""
     try:
         x = compute()
-    except (ValueError, DenominatorNotInW) as exc:
+    except Exception as exc:
         return type(exc), str(exc)
-    assert type(x.num) is int and type(x.den) is int
-    return x.num, x.den
+    pair = (x.num, x.den) if isinstance(x, WRational) else x
+    assert all(type(v) is int for v in pair)
+    return pair
 
 
 @settings(max_examples=300, deadline=None)
@@ -216,6 +262,37 @@ def test_int_operands_match_the_validating_constructor(x, n):
     ]
     for compute, (num, den) in cases:
         assert outcome(compute) == outcome(lambda: WRational(num, den))
+
+
+constructor_ints = st.one_of(
+    st.integers(min_value=-10**15, max_value=10**15),
+    st.integers(min_value=-CAP, max_value=CAP),
+    st.sampled_from((0, 1, -1)),
+    st.booleans(),
+)
+# Denominators over the cap, and ones with a prime 3 mod 4 or only W primes.
+constructor_dens = st.one_of(
+    constructor_ints,
+    st.integers(min_value=CAP + 1, max_value=10**15),
+    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 19, 97)), max_size=8).map(math.prod),
+    st.tuples(st.integers(min_value=1, max_value=10**4), st.sampled_from((3, 7, 11, 999_983))).map(math.prod),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=constructor_ints | st.floats(min_value=-1e15, max_value=1e15),
+    den=constructor_dens.flatmap(lambda d: st.sampled_from((d, -d))) | st.floats(min_value=-1e15, max_value=1e15),
+)
+@example(num=1, den=0)
+@example(num=2, den=-30)
+@example(num=1, den=3 * 5**17)
+@example(num=5**20, den=5**30)
+@example(num=True, den=True)
+@example(num=1.5, den=2)
+@example(num=3, den=2.0)
+def test_constructor_matches_its_former_body(num, den):
+    assert outcome(lambda: WRational(num, den)) == outcome(lambda: wrational_reference(num, den))
 
 
 def test_the_constructor_checks_the_cap_before_the_denominator():
