@@ -462,7 +462,6 @@ class WRational:
     product divides the product of two valid denominators, so every prime
     factor of it is already 2 or 1 mod 4. Results, and an int operand as n/1,
     are built by _trusted, which reduces and caps but does not trial-divide.
-    Both paths reduce and cap through _reduce.
     """
 
     num: int

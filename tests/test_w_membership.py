@@ -10,11 +10,11 @@ oracle of the two paths that skip it: the values of `zw_unit_demo`, each
 proved a unit by a square root of -1, and `WRational` arithmetic, which
 builds its results without re-checking their denominators.
 
-The constructor reduces and caps through `rings._reduce`, as `_trusted` does;
-its former body, `helpers.wrational_reference`, is its oracle. `zw_unit_demo` validates each argument through the constructor
-and builds the value from the closed form (a^2 + b^2)/b^2; its former loop,
-which squared the argument and added 1 by `WRational` arithmetic, is kept as
-`helpers.zw_values_reference`, the oracle of those values.
+The `WRational` constructor is compared with its former body, kept as
+`helpers.wrational_reference`. The values `zw_unit_demo` builds from the
+closed form (a^2 + b^2)/b^2 are compared with its former loop, which squared
+the argument and added 1 by `WRational` arithmetic, kept as
+`helpers.zw_values_reference`.
 """
 
 import hashlib
@@ -225,15 +225,13 @@ w_rationals = st.builds(WRational, st.integers(min_value=-10**6, max_value=10**6
 
 
 def outcome(compute):
-    """(num, den) of the result, a WRational or a pair, or the type and
-    message of what it raised."""
+    """(num, den) of the result, or the type and message of what it raised."""
     try:
         x = compute()
-    except Exception as exc:
+    except (ValueError, DenominatorNotInW) as exc:
         return type(exc), str(exc)
-    pair = (x.num, x.den) if isinstance(x, WRational) else x
-    assert all(type(v) is int for v in pair)
-    return pair
+    assert type(x.num) is int and type(x.den) is int
+    return x.num, x.den
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,7 +290,19 @@ constructor_dens = st.one_of(
 @example(num=1.5, den=2)
 @example(num=3, den=2.0)
 def test_constructor_matches_its_former_body(num, den):
-    assert outcome(lambda: WRational(num, den)) == outcome(lambda: wrational_reference(num, den))
+    def constructed(num, den):
+        x = WRational(num, den)
+        return x.num, x.den
+
+    def pair_or_error(build):
+        try:
+            pair = build(num, den)
+        except (ValueError, ZeroDivisionError, TypeError, DenominatorNotInW) as exc:
+            return type(exc), str(exc)
+        assert type(pair[0]) is int and type(pair[1]) is int
+        return pair
+
+    assert pair_or_error(constructed) == pair_or_error(wrational_reference)
 
 
 def test_the_constructor_checks_the_cap_before_the_denominator():
