@@ -9,8 +9,11 @@ say so in their reports.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -27,6 +30,14 @@ from .rings import ZZ, WRational, primes_up_to
 DEFAULT_WINDOW = 20
 # sf_search finds the least roots of every prime up to here in one scan.
 _SCAN_PRIMES_UP_TO = 2**14
+# The scan takes one gcd against its pending product per run of at most
+# _RUN_VALUES consecutive values of at most _RUN_BITS bits together.
+_RUN_VALUES = 64
+_RUN_BITS = 2048
+# It makes its values by differences, _DIFFERENCE_CHUNK at a time, when it
+# scans at least _DIFFERENCE_SPAN points per coefficient of f.
+_DIFFERENCE_SPAN = 64
+_DIFFERENCE_CHUNK = 512
 DEFAULT_DEMO_SEED = 1729
 W_PRIMES_UNDER_100 = (2, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
@@ -152,9 +163,13 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
 
     The primes up to _SCAN_PRIMES_UP_TO (2^14) are found together by one scan
     of f(0), f(1), ... against the product of the primes still unresolved
-    (_least_roots_by_scan): at most p_max gcds against a product of at most
-    about 1.44 * p_max bits, so the cost grows with the square of the largest
-    prime scanned, with no polynomial arithmetic per prime.
+    (_least_roots_by_scan), with no polynomial arithmetic per prime. The
+    values are taken in runs of consecutive points, one gcd of the run's
+    product against that product each, and only a run whose gcd exceeds 1
+    is walked value by value against that small gcd; taken in order, a
+    prime's first hit is its least root. The scan still makes up to p_max
+    values against a product of about 1.44 * p_max bits, so its cost grows
+    with the square of the largest prime scanned.
 
     Each prime above the threshold is handled alone in F_p[x]: f mod p is
     made monic, x^p mod f is found by square-and-multiply, and
@@ -193,36 +208,125 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
 
 def _least_roots_by_scan(coeffs: Sequence[int], primes: Sequence[int]) -> dict[int, int]:
     """Least root in [0, p) of the integer polynomial with these ascending
-    coefficients modulo each of the primes that has one.
+    coefficients modulo each of the ascending primes that has one.
 
-    Evaluates f(k) exactly at k = 0, 1, 2, ... and takes gcd(f(k), pending),
-    where pending is the product of the primes neither hit nor passed yet.
-    If p divides f(k) for some k >= p, it divides f(k mod p), so a prime's
+    Walks k = 0, 1, 2, ... against pending, the product of the primes neither
+    hit nor passed yet. If p divides f(k) for some k >= p, it divides
+    f(k mod p), and k mod p < k; so, taking the points in order, a prime's
     first hit is its least root, and a prime that k reaches unhit has no root
-    and leaves pending. A gcd that is not prime (f(k) == 0, or two primes
-    sharing a least root) is split over the primes; every prime it holds is
-    still pending, so greater than k.
+    and leaves pending. That holds for f(k) == 0 too, which hits every
+    pending prime at once.
+
+    The points come in runs of consecutive values, at most _RUN_VALUES of
+    them and, as far as a bound on |f(k)| tells, at most _RUN_BITS bits
+    together. One g = gcd(prod(run), pending) per run finds every pending
+    prime that divides a value of the run. Only if g > 1 is the run walked in
+    order, each value against the small g, until g is used up: the primes of
+    gcd(f(k), g) are hit at k and leave g. A pending prime can never first
+    divide f(k) at k >= p, so leaving a prime inside the run in pending
+    changes no root, and the primes the run's end has passed unhit leave
+    pending together, once per run. A gcd that is not prime (f(k) == 0, or
+    two primes sharing a least root) is split by trial division over the
+    primes not yet passed, which hold all of its factors.
+
+    Per value that costs one step of _values, a share of one product and one
+    gcd against pending, and one small gcd when its run is walked, in place
+    of one gcd against the whole of pending. Values bounded by more than
+    _RUN_BITS / 2 bits run alone: one gcd against pending each, as without
+    runs.
     """
     roots = {}
     pending = math.prod(primes)
-    unresolved = set(primes)
-    descending = coeffs[::-1]
+    values = _values(coeffs, primes[-1] if primes else 0)
+    degree = len(coeffs) - 1
+    # |f(k)| <= sum |c_i| * k^degree for k >= 1
+    size = sum(map(abs, coeffs)).bit_length()
     k = 0
+    passed = 0  # primes[:passed] are the primes <= k
     while pending > 1:
+        bits = size + degree * (k + _RUN_VALUES).bit_length()
+        run = list(islice(values, max(1, min(_RUN_VALUES, _RUN_BITS // bits))))
+        g = math.gcd(math.prod(run), pending)
+        if g > 1:
+            pending //= g
+            for j, value in enumerate(run, k):
+                h = math.gcd(value, g)
+                if h > 1:
+                    g //= h
+                    for p in _squarefree_factors(h, primes, passed):
+                        roots[p] = j
+                    if g == 1:
+                        break
+        k += len(run)
+        end = bisect_right(primes, k, passed)
+        pending //= math.prod([p for p in primes[passed:end] if p not in roots])
+        passed = end
+    return roots
+
+
+def _squarefree_factors(h: int, primes: Sequence[int], start: int) -> Iterator[int]:
+    """The prime factors of the squarefree h > 1, each of which is in the
+    ascending primes[start:], by trial division."""
+    for i in range(start, len(primes)):
+        p = primes[i]
+        if p * p > h:
+            break
+        if not h % p:
+            yield p
+            h //= p
+    if h > 1:
+        yield h
+
+
+def _values(coeffs: Sequence[int], stop: int) -> Iterator[int]:
+    """f(0), f(1), ..., f(stop - 1) for the integer polynomial f with these
+    ascending coefficients.
+
+    Each value costs deg f steps either way. If stop is at least
+    _DIFFERENCE_SPAN times deg f + 1, the points f(0), ..., f(deg f) come by
+    Horner's rule and the rest by f's backward differences, deg f additions
+    a value (Knuth, TAOCP vol. 2, 4.6.4); otherwise every value comes by
+    Horner's rule, one at a time as the scan asks for it.
+    """
+    degree = len(coeffs) - 1
+    descending = coeffs[::-1]
+
+    def horner(k: int) -> int:
         value = 0
         for c in descending:
             value = value * k + c
-        g = math.gcd(value, pending)
-        if g > 1:
-            pending //= g
-            for p in [g] if g in unresolved else [p for p in unresolved if not g % p]:
-                roots[p] = k
-                unresolved.remove(p)
-        k += 1
-        if k in unresolved:
-            pending //= k
-            unresolved.remove(k)
-    return roots
+        return value
+
+    if (degree + 1) * _DIFFERENCE_SPAN > stop:
+        return map(horner, range(stop))
+    head = [horner(k) for k in range(degree + 1)]
+    return chain(head, chain.from_iterable(_difference_chunks(head, stop)))
+
+
+def _difference_chunks(head: list[int], stop: int) -> Iterator[list[int]]:
+    """f(len(head)), ..., f(stop - 1), _DIFFERENCE_CHUNK values at a time,
+    from head = [f(0), ..., f(deg f)].
+
+    The state is the backward differences D_j = nabla^j f(k) at the last
+    point k, for j < deg f; D_deg f = (deg f)! * lc(f) is constant. A chunk
+    of n further values is one itertools.accumulate pass per order, from the
+    highest down: order j at the new points is D_j plus the running sum of
+    order j + 1 there.
+    """
+    state = []
+    row = head
+    while row:
+        state.append(row[-1])
+        row = list(map(operator.sub, islice(row, 1, None), row))
+    top = state.pop()
+    state.reverse()
+    for start in range(len(head), stop, _DIFFERENCE_CHUNK):
+        row = [top] * min(_DIFFERENCE_CHUNK, stop - start)
+        for j, last in enumerate(state):
+            row[0] += last
+            row = list(accumulate(row))
+            state[j] = row[-1]
+        yield row
 
 
 # --- F_p[x] on ascending int lists, for sf_search ---------------------------

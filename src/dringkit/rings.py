@@ -7,6 +7,7 @@ checked: a quotient is returned only when it exists in the ring.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,7 +102,7 @@ def primes_up_to(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, flag in enumerate(flags) if flag]
+    return list(itertools.compress(range(limit + 1), flags))
 
 
 def _first_non_w_prime(n: int) -> int | None:

@@ -8,6 +8,7 @@ every run sees the same instances.
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from dringkit import (
     ChebPair,
@@ -157,6 +158,47 @@ def sf_search_scan(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
                 records.append(PrimeSolvabilityRecord(p, k))
                 break
     return records
+
+
+# --- reference gcd scan -------------------------------------------------------
+#
+# The scan that lab._least_roots_by_scan batched: one Horner evaluation and one
+# gcd against the whole pending product at every point k. The batched scan
+# must return exactly its roots.
+
+
+def least_roots_by_scan_reference(coeffs: Sequence[int], primes: Sequence[int]) -> dict[int, int]:
+    """Least root in [0, p) of the integer polynomial with these ascending
+    coefficients modulo each of the primes that has one.
+
+    Evaluates f(k) exactly at k = 0, 1, 2, ... and takes gcd(f(k), pending),
+    where pending is the product of the primes neither hit nor passed yet.
+    If p divides f(k) for some k >= p, it divides f(k mod p), so a prime's
+    first hit is its least root, and a prime that k reaches unhit has no root
+    and leaves pending. A gcd that is not prime (f(k) == 0, or two primes
+    sharing a least root) is split over the primes; every prime it holds is
+    still pending, so greater than k.
+    """
+    roots = {}
+    pending = math.prod(primes)
+    unresolved = set(primes)
+    descending = coeffs[::-1]
+    k = 0
+    while pending > 1:
+        value = 0
+        for c in descending:
+            value = value * k + c
+        g = math.gcd(value, pending)
+        if g > 1:
+            pending //= g
+            for p in [g] if g in unresolved else [p for p in unresolved if not g % p]:
+                roots[p] = k
+                unresolved.remove(p)
+        k += 1
+        if k in unresolved:
+            pending //= k
+            unresolved.remove(k)
+    return roots
 
 
 # --- reference factorisation -------------------------------------------------

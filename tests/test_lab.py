@@ -235,6 +235,18 @@ def test_primes_up_to_matches_trial_division():
     assert primes_up_to(1) == []
 
 
+def test_primes_up_to_matches_a_plain_sieve_at_every_limit():
+    composite = bytearray(3001)
+    plain = []
+    for limit in range(3001):
+        if limit >= 2 and not composite[limit]:
+            plain.append(limit)
+            for m in range(limit * limit, 3001, limit):
+                composite[m] = 1
+        assert primes_up_to(limit) == plain, limit
+    assert len(primes_up_to(10**6)) == 78498
+
+
 # --- Z[W] unit demo ----------------------------------------------------------
 
 

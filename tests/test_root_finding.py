@@ -2,9 +2,10 @@
 for the primes up to 2^14, and F_p[x] for each prime above.
 
 Records from both paths are checked against the exhaustive residue scan kept
-in helpers, the scan against the F_p[x] finder, the F_p[x] least roots
-against sympy's polynomial congruence solver, and three searches that
-straddle the threshold against digests of the residue scan's output.
+in helpers, the scan against the F_p[x] finder and against the unbatched
+scan kept in helpers, the scan's values against Horner's rule, the F_p[x]
+least roots against sympy's polynomial congruence solver, and three searches
+that straddle the threshold against digests of the residue scan's output.
 """
 
 import hashlib
@@ -12,12 +13,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dringkit import Poly, parse_poly, primes_up_to, sf_search
-from dringkit.lab import _least_root_mod, _least_roots_by_scan
-from helpers import sf_search_scan
+from dringkit.lab import _DIFFERENCE_CHUNK, _least_root_mod, _least_roots_by_scan, _values
+from helpers import evaluate_reference, least_roots_by_scan_reference, sf_search_scan
 
 COEFF_BOUND = 10**6
 
@@ -92,6 +93,57 @@ def test_the_scan_matches_the_root_finder_prime_by_prime(f, limit):
 def test_scan_edge_cases(text, limit, expected):
     coeffs = parse_poly(text).coeffs
     assert _least_roots_by_scan(coeffs, primes_up_to(limit)) == expected
+
+
+@st.composite
+def scan_coeffs(draw, min_degree=0, max_degree=12):
+    # Coefficients up to 10^30 make single values longer than the pending
+    # product of the primes up to a small limit.
+    bound = draw(st.sampled_from([10, 10**6, 10**30]))
+    degree = draw(st.integers(min_value=min_degree, max_value=max_degree))
+    coeff = st.integers(min_value=-bound, max_value=bound)
+    coeffs = draw(st.lists(coeff, min_size=degree, max_size=degree))
+    return coeffs + [draw(coeff.filter(bool))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=scan_coeffs(),
+    limit=st.one_of(st.integers(min_value=2, max_value=1000),
+                    st.integers(min_value=2, max_value=2**14)),
+)
+# x - 40: f(40) = 0 inside a run hits every prime still pending at once,
+# so the least roots are {p: 40 % p}
+@example(coeffs=[-40, 1], limit=100)
+# 17 and 43 share the least root 9 of x^3 + 2
+@example(coeffs=[2, 0, 0, 1], limit=43)
+@example(coeffs=[6, -5, 1], limit=2)
+def test_the_scan_matches_the_unbatched_scan(coeffs, limit):
+    primes = primes_up_to(limit)
+    assert _least_roots_by_scan(coeffs, primes) == least_roots_by_scan_reference(coeffs, primes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), limit=st.integers(min_value=2, max_value=60))
+def test_the_scan_matches_the_unbatched_scan_above_every_prime(data, limit):
+    # deg f above the largest prime: every value comes by Horner's rule
+    coeffs = data.draw(scan_coeffs(min_degree=limit + 1, max_degree=limit + 40))
+    primes = primes_up_to(limit)
+    assert _least_roots_by_scan(coeffs, primes) == least_roots_by_scan_reference(coeffs, primes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=scan_coeffs(), data=st.data())
+def test_the_values_match_horner_across_chunk_boundaries(coeffs, data):
+    # Ends just before, at and after a chunk boundary of the differences,
+    # and short enough for Horner's rule alone
+    head = len(coeffs)
+    chunks = data.draw(st.integers(min_value=0, max_value=3))
+    stop = data.draw(st.integers(min_value=0, max_value=head + 1)
+                     | st.integers(min_value=-1, max_value=1).map(
+                         lambda d: head + chunks * _DIFFERENCE_CHUNK + d))
+    f = Poly(coeffs)
+    assert list(_values(coeffs, stop)) == [evaluate_reference(f, k) for k in range(stop)]
 
 
 def test_least_roots_match_sympy():
