@@ -164,12 +164,12 @@ def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
     The primes up to _SCAN_PRIMES_UP_TO (2^14) are found together by one scan
     of f(0), f(1), ... against the product of the primes still unresolved
     (_least_roots_by_scan), with no polynomial arithmetic per prime. The
-    values are taken in runs of consecutive points, one gcd of the run's
-    product against that product each, and only a run whose gcd exceeds 1
-    is walked value by value against that small gcd; taken in order, a
-    prime's first hit is its least root. The scan still makes up to p_max
-    values against a product of about 1.44 * p_max bits, so its cost grows
-    with the square of the largest prime scanned.
+    values are taken in runs of consecutive points. Each run takes one gcd
+    of its values' product against that product, and only a run whose gcd
+    exceeds 1 is walked, value by value, against that small gcd; taken in
+    order, a prime's first hit is its least root. The scan still makes up
+    to p_max values against a product of about 1.44 * p_max bits, so its
+    cost grows with the square of the largest prime scanned.
 
     Each prime above the threshold is handled alone in F_p[x]: f mod p is
     made monic, x^p mod f is found by square-and-multiply, and
