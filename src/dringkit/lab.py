@@ -481,6 +481,11 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
 
     Arguments are a/b with |a| <= 10**4 and b a product of at most two of the
     allowed primes below 100, each validated by the WRational constructor.
+    Each number is drawn from getrandbits by rejection, as Random._randbelow
+    draws it: a from 15 bits, the count of primes from 2 and each prime's
+    index from 4, redrawn while out of range. The stream is the one that
+    randint(-10**4, 10**4), randint(0, 2) and choice(W_PRIMES_UNDER_100)
+    give, so a seed names the same arguments as through those calls.
     For the reduced argument a/b the value is (a**2 + b**2)/b**2, built in
     one step from that closed form, and since b is prime to a**2 + b**2,
     a * b**-1 is a square root of -1 modulo the numerator, which certifies
@@ -491,13 +496,22 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
     if trials < 1:
         raise ValueError("trials must be positive")
     seed = ZZ.coerce(seed)
-    rng = random.Random(seed)
+    draw = random.Random(seed).getrandbits
+    primes = W_PRIMES_UNDER_100
     for _ in range(trials):
-        a = rng.randint(-10_000, 10_000)
-        b = math.prod(
-            rng.choice(W_PRIMES_UNDER_100) for _ in range(rng.randint(0, 2))
-        )
-        argument = WRational(a, b)
+        a = draw(15)
+        while a > 20_000:
+            a = draw(15)
+        count = draw(2)
+        while count > 2:
+            count = draw(2)
+        b = 1
+        for _ in range(count):
+            i = draw(4)
+            while i >= 12:
+                i = draw(4)
+            b *= primes[i]
+        argument = WRational(a - 10_000, b)
         a, b = argument.num, argument.den
         value = WRational._trusted(a * a + b * b, b * b)
         root = a * pow(b, -1, value.num)

@@ -222,10 +222,18 @@ def _plus_minus_values(coeffs, ring: CoefficientRing, ks: set[int]) -> dict:
 
 
 def _int_product(a, b) -> list[int]:
-    """Schoolbook product of two coefficient sequences of ints; an empty
-    operand gives only zeros, which Poly._trusted strips."""
+    """Schoolbook product of two coefficient sequences of ints. The first
+    nonzero row of a is written, not added to zeros, and the rows after it
+    are added; an empty operand gives only zeros, which Poly._trusted
+    strips."""
     out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
+    rows = enumerate(a)
+    for i, c in rows:
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] = c * d
+            break
+    for i, c in rows:
         if not c:
             continue
         for j, d in enumerate(b, i):

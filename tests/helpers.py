@@ -271,6 +271,28 @@ def zw_values_reference(trials: int, seed: int) -> list[str]:
     return values
 
 
+# The draws of lab.zw_unit_demo as Random.randint and Random.choice make them,
+# with each argument reduced by gcd and its value and root written out.
+
+
+def zw_trials_reference(trials: int, seed: int) -> list[tuple[str, int]]:
+    """(str(value), root) of each trial that zw_unit_demo(trials, seed)
+    certifies: for the reduced argument a/b, the value (a^2 + b^2)/b^2 and
+    root = a * b^-1 mod n, with n = a^2 + b^2."""
+    rng = random.Random(seed)
+    trials_seen = []
+    for _ in range(trials):
+        a = rng.randint(-10_000, 10_000)
+        b = 1
+        for _ in range(rng.randint(0, 2)):
+            b *= rng.choice(W_PRIMES_UNDER_100)
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        n = a * a + b * b
+        trials_seen.append((f"{n}/{b * b}", a * pow(b, -1, n)))
+    return trials_seen
+
+
 # --- reference parser ---------------------------------------------------------
 #
 # The character-by-character tokenizer and recursive-descent parser that the

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dringkit import (
@@ -141,6 +141,13 @@ def assert_same_poly(product, expected):
 
 @settings(max_examples=200, deadline=None)
 @given(operands=product_operands())
+# _int_product writes its first nonzero row and adds the rest: a scalar is
+# that row alone, a zero first coefficient moves it, and an empty operand
+# leaves only zeros.
+@example(operands=[Poly((10**40 + 7,)), Poly((3, -1, 0, 2, 5))])
+@example(operands=[Poly((0, 0, 4, -1)), Poly((0, 7, 1))])
+@example(operands=[Poly(()), Poly((1, 2, 3))])
+@example(operands=[Poly((1, 2, 3)), Poly(())])
 def test_product_matches_the_reference(operands):
     f, g = operands
     product = f * g

@@ -14,7 +14,9 @@ The `WRational` constructor is compared with its former body, kept as
 `helpers.wrational_reference`. The values `zw_unit_demo` builds from the
 closed form (a^2 + b^2)/b^2 are compared with its former loop, which squared
 the argument and added 1 by `WRational` arithmetic, kept as
-`helpers.zw_values_reference`.
+`helpers.zw_values_reference`. The arguments it draws from `getrandbits`,
+and the root of -1 that certifies each value, are compared with draws made by
+`Random.randint` and `Random.choice`, in `helpers.zw_trials_reference`.
 """
 
 import hashlib
@@ -38,7 +40,12 @@ from dringkit import (
 )
 from dringkit.rings import _first_non_w_prime
 
-from helpers import factorize_reference, wrational_reference, zw_values_reference
+from helpers import (
+    factorize_reference,
+    wrational_reference,
+    zw_trials_reference,
+    zw_values_reference,
+)
 
 CAP = 10**12
 
@@ -177,6 +184,28 @@ def test_zw_unit_demo_values_match_the_arithmetic_loop(seed, monkeypatch):
     # Seeds outside DEMO_GOLDEN: the closed form against x * x + 1.
     assert seed not in DEMO_GOLDEN
     assert recorded_demo_values(3000, seed, monkeypatch) == zw_values_reference(3000, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.just(0) | st.integers(max_value=-1) | st.integers(min_value=2**64),
+       trials=st.integers(min_value=1, max_value=300))
+@example(seed=0, trials=1)
+@example(seed=-1, trials=300)
+@example(seed=2**64, trials=300)
+def test_zw_unit_demo_draws_the_randint_and_choice_arguments(seed, trials):
+    # The value is even in the argument's numerator, so only the root sees
+    # its sign: both are compared with draws made by randint and choice.
+    original = lab._certifies_unit
+    seen = []
+
+    def recording(value, root):
+        seen.append((str(value), root))
+        return original(value, root)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lab, "_certifies_unit", recording)
+        zw_unit_demo(trials, seed)
+    assert seen == zw_trials_reference(trials, seed)
 
 
 def test_zw_unit_demo_validates_and_certifies_every_trial(monkeypatch):
