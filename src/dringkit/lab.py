@@ -12,7 +12,6 @@ import math
 import operator
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
     VerificationError,
 )
 from .polynomials import Poly, exact_divide, is_primitive
-from .rings import ZZ, WRational, primes_up_to
+from .rings import ZZ, Record, WRational, primes_up_to
 
 DEFAULT_WINDOW = 20
 # sf_search finds the least roots of every prime up to here in one scan.
@@ -47,18 +46,14 @@ SAMPLE_WINDOW_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class EvalDivReport:
+class EvalDivReport(Record):
     """Tally of the pointwise checks g(k) | f(k) over a sample list.
 
     Failures hold (point, divisor value, dividend value) triples; vacuous
     counts the samples where the divisor vanished.
     """
 
-    checked: int
-    vacuous: int
-    failures: tuple
-    verdict: str
+    __slots__ = ("checked", "vacuous", "failures", "verdict")
 
     @property
     def divisible(self) -> int:
@@ -94,8 +89,7 @@ def eval_divisibility(f: Poly, g: Poly, samples: Iterable) -> EvalDivReport:
     return EvalDivReport(len(points), vacuous, tuple(failures), verdict)
 
 
-@dataclass(frozen=True)
-class DivisibilityCertificate:
+class DivisibilityCertificate(Record):
     """Verdict on g | f in R[x], with a verified quotient or a witness point.
 
     The quotient is present exactly when the verdict is DIVIDES. A witness is
@@ -103,9 +97,7 @@ class DivisibilityCertificate:
     NOT_DIVIDES when the bounded scan found none.
     """
 
-    verdict: str
-    quotient: Poly | None
-    witness: int | None
+    __slots__ = ("verdict", "quotient", "witness")
 
 
 def witness_scan_order(bound: int) -> Iterator[int]:
@@ -149,12 +141,10 @@ def certify_divisibility(f: Poly, g: Poly, search_bound: int = 1000) -> Divisibi
     return DivisibilityCertificate("NOT_DIVIDES", None, None)
 
 
-@dataclass(frozen=True)
-class PrimeSolvabilityRecord:
+class PrimeSolvabilityRecord(Record):
     """A prime p together with the least root of f in [0, p) modulo p."""
 
-    prime: int
-    root: int
+    __slots__ = ("prime", "root")
 
 
 def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
@@ -446,17 +436,14 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-@dataclass(frozen=True)
-class ZWUnitReport:
+class ZWUnitReport(Record):
     """Outcome of evaluating x**2 + 1 at seeded random points of Z[W].
 
     certified counts the values proved units by a square root of -1; it is
     always trials, since a value that is not certified raises instead.
     """
 
-    trials: int
-    seed: int
-    certified: int
+    __slots__ = ("trials", "seed", "certified")
 
     @property
     def passes(self) -> int:
@@ -520,15 +507,12 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
     return ZWUnitReport(trials, seed, trials)
 
 
-@dataclass(frozen=True)
-class ChebPair:
+class ChebPair(Record):
     """Index n with p_n = T_n and q_n = U_{n-1}, the Chebyshev polynomials of
     the coupled recurrences p_{n+1} = 2x*p_n - p_{n-1} (p_0 = 1, p_1 = x) and
     likewise for q (q_0 = 0, q_1 = 1)."""
 
-    n: int
-    p: Poly
-    q: Poly
+    __slots__ = ("n", "p", "q")
 
 
 def cheb_generate(n_max: int) -> list[ChebPair]:
@@ -565,15 +549,11 @@ def _cheb_pair(n: int) -> ChebPair:
     return ChebPair(n, p, Poly._trusted(q, ZZ))
 
 
-@dataclass(frozen=True)
-class ChebCertifyReport:
+class ChebCertifyReport(Record):
     """Both halves of the p_n | q_{2n} check: pointwise evaluation and the
     polynomial certificate."""
 
-    n: int
-    evaluation: EvalDivReport
-    certificate: DivisibilityCertificate
-    passed: bool
+    __slots__ = ("n", "evaluation", "certificate", "passed")
 
 
 def cheb_certify(n: int, eval_range: Iterable[int] | None = None) -> ChebCertifyReport:

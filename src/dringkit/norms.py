@@ -8,12 +8,11 @@ trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import UnsupportedRingError, VerificationError
 from .polynomials import Poly
-from .rings import ZZ, QuadInt, QuadRing
+from .rings import ZZ, QuadInt, QuadRing, Record
 
 STATUS_HOLDS = "holds"
 STATUS_VACUOUS = "vacuous"
@@ -45,32 +44,21 @@ def norm_poly(p: Poly) -> Poly:
     return Poly._trusted(values, ZZ)
 
 
-@dataclass(frozen=True)
-class TransferSample:
+class TransferSample(Record):
     """Divisibility bookkeeping at one integer sample point.
 
     element_divides / norm_divides are None when the respective divisor value
     vanishes at the point.
     """
 
-    point: int
-    divisor_value: QuadInt
-    dividend_value: QuadInt
-    divisor_norm: int
-    dividend_norm: int
-    element_divides: bool | None
-    norm_divides: bool | None
-    status: str
+    __slots__ = ("point", "divisor_value", "dividend_value", "divisor_norm", "dividend_norm",
+                 "element_divides", "norm_divides", "status")
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(Record):
     """Outcome of checking that elementwise divisibility transfers to norms."""
 
-    dividend_norm_poly: Poly
-    divisor_norm_poly: Poly
-    samples: tuple[TransferSample, ...]
-    verdict: str
+    __slots__ = ("dividend_norm_poly", "divisor_norm_poly", "samples", "verdict")
 
 
 def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferReport:

@@ -17,7 +17,6 @@ QuadInts from the text itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Union
 
@@ -27,18 +26,20 @@ from .errors import (
     VerificationError,
     ZeroPolynomialError,
 )
-from .rings import NORM_EUCLIDEAN_D, ZZ, IntegerRing, QuadInt, QuadRing, _decimal
+from .rings import NORM_EUCLIDEAN_D, ZZ, IntegerRing, QuadInt, QuadRing, Record, _decimal
 
 CoefficientRing = Union[IntegerRing, QuadRing]
 Element = Union[int, QuadInt]
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """coeffs[i] holds the coefficient of x**i."""
 
-    coeffs: tuple = ()
-    ring: CoefficientRing = ZZ
+    __slots__ = ("coeffs", "ring")
+
+    def __init__(self, coeffs=(), ring: CoefficientRing = ZZ) -> None:
+        Record.__init__(self, coeffs, ring)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         normalized = [self.ring.coerce(c) for c in self.coeffs]
@@ -50,8 +51,8 @@ class Poly:
     def _trusted(cls, coeffs: list, ring: CoefficientRing) -> "Poly":
         """A polynomial over `ring` from a list of coefficients already in it.
 
-        Skips the coercion of `__post_init__`; only trailing zeros are stripped,
-        in place, so the caller hands over the list.
+        Made without calling the class, so `__post_init__` does not coerce;
+        trailing zeros are stripped in place, so the caller hands over the list.
         """
         while coeffs and not coeffs[-1]:
             coeffs.pop()
@@ -258,17 +259,13 @@ def _term_text(c: Element, power: int) -> tuple[int, str]:
     return sign, var if var and m == 1 else _decimal(m) + var
 
 
-@dataclass(frozen=True)
-class PseudoDivResult:
+class PseudoDivResult(Record):
     """Witness of multiplier * f == g * q + r with r == 0 or deg r < deg g.
 
     The multiplier is lc(g)**s and s = max(deg f - deg g + 1, 0).
     """
 
-    multiplier: Element
-    quotient: Poly
-    remainder: Poly
-    s: int
+    __slots__ = ("multiplier", "quotient", "remainder", "s")
 
 
 def content(p: Poly) -> Element:

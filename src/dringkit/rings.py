@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DenominatorNotInW,
@@ -159,8 +158,50 @@ class IntegerRing:
 ZZ = IntegerRing()
 
 
-@dataclass(frozen=True)
-class QuadRing:
+class Record:
+    """Base of the immutable value and report types. A subclass names its
+    attributes in __slots__, and its value is the tuple of its _fields (all
+    of __slots__ unless it names fewer), written only while it is built.
+    Equality (within one class), hash and repr go by the value; copy and
+    pickle call the class on it."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = vars(cls).get("_fields", cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(self._setters)} fields, not {len(values)}")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class QuadRing(Record):
     """The ring of integers Z[w] of Q(sqrt d) for square-free d.
 
     w = sqrt(d) when d = 2, 3 (mod 4) and (1 + sqrt(d))/2 when d = 1 (mod 4),
@@ -170,19 +211,21 @@ class QuadRing:
     reader is the inline norm of `_reduction_step`'s box candidates.
     """
 
-    d: int
+    __slots__ = ("d", "t", "n")
+    _fields = ("d",)
 
-    def __post_init__(self) -> None:
-        ZZ.coerce(self.d)
-        if self.d in (0, 1):
+    def __init__(self, d: int) -> None:
+        ZZ.coerce(d)
+        if d in (0, 1):
             raise ValueError("d must differ from 0 and 1")
-        if abs(self.d) > _MAX_ABS_D:
+        if abs(d) > _MAX_ABS_D:
             raise ValueError(f"|d| is capped at {_MAX_ABS_D}")
-        if not is_squarefree(self.d):
-            raise ValueError(f"d = {self.d} is not square-free")
-        t = 1 if self.d % 4 == 1 else 0
+        if not is_squarefree(d):
+            raise ValueError(f"d = {d} is not square-free")
+        Record.__init__(self, d)
+        t = 1 if d % 4 == 1 else 0
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", (self.d - 1) // 4 if t else self.d)
+        object.__setattr__(self, "n", (d - 1) // 4 if t else d)
 
     @property
     def zero(self) -> "QuadInt":
@@ -240,8 +283,7 @@ class QuadRing:
         return f"Q(sqrt {self.d})"
 
 
-@dataclass(frozen=True, eq=False)
-class QuadInt:
+class QuadInt(Record):
     """Element a + b*w of a quadratic integer ring.
 
     The constructor is trusted, like Poly._trusted: the kernels build many
@@ -250,9 +292,13 @@ class QuadInt:
     QuadRing.coerce, which reject floats.
     """
 
-    a: int
-    b: int
-    ring: QuadRing
+    __slots__ = ("a", "b", "ring")
+
+    def __init__(self, a: int, b: int, ring: QuadRing) -> None:
+        set_a, set_b, set_ring = self._setters  # Record.__init__ unrolled, for speed
+        set_a(self, a)
+        set_b(self, b)
+        set_ring(self, ring)
 
     def _coerce(self, other):
         if isinstance(other, (QuadInt, int)):
@@ -452,8 +498,7 @@ def _reduce(num: int, den: int) -> tuple[int, int]:
     return num, den
 
 
-@dataclass(frozen=True)
-class WRational:
+class WRational(Record):
     """Reduced fraction whose denominator factors over {2} and primes = 1 mod 4.
 
     Construction normalizes the sign into the numerator, divides out the gcd,
@@ -465,8 +510,13 @@ class WRational:
     are built by _trusted, which reduces and caps but does not trial-divide.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1) -> None:
+        set_num, set_den = self._setters  # Record.__init__ unrolled, for speed
+        set_num(self, num)
+        set_den(self, den)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         num, den = self.num, self.den

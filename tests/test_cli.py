@@ -1,5 +1,7 @@
 """Subcommand behavior, exit codes, and JSON output discipline."""
 
+import ast
+import glob
 import json
 import os
 import re
@@ -518,6 +520,37 @@ def test_module_entry_point_matches_main(capsys):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def _stdlib_imports_of_src() -> list[str]:
+    """The top-level modules that src/dringkit's files import by absolute name."""
+    names = set()
+    for path in glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py")):
+        with open(path, encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return sorted(names)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Start-up cost: dataclasses brings inspect, ast, dis and tokenize with it.
+    # inspect is allowed only where the standard modules src/ imports load it
+    # too, as some Python versions may.
+    def loaded(imports: str) -> set[str]:
+        probe = f"import sys, {imports}; print(*sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=module_env(), check=True)
+        return set(proc.stdout.split())
+
+    baseline = loaded(", ".join(_stdlib_imports_of_src()))
+    modules = loaded("dringkit.cli")
+    assert "dringkit.cli" in modules
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules or "inspect" in baseline
 
 
 def test_a_closed_stdout_exits_two_with_one_line():

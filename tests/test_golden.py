@@ -63,10 +63,8 @@ def _form(value) -> str:
         return f"Poly[{value.ring}]{value.coeffs!r}"
     if isinstance(value, (tuple, list)):
         return "(" + ",".join(_form(v) for v in value) + ")"
-    if hasattr(value, "__dataclass_fields__"):
-        fields = ",".join(
-            f"{name}={_form(getattr(value, name))}" for name in value.__dataclass_fields__
-        )
+    if hasattr(value, "_fields"):
+        fields = ",".join(f"{name}={_form(getattr(value, name))}" for name in value._fields)
         return f"{type(value).__name__}({fields})"
     return repr(value)
 
