@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ArgumentCapError, DRingKitError, UnsupportedRingError
 from .lab import (

@@ -12,8 +12,8 @@ import math
 import operator
 import random
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, islice
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ConstantDivisorError,
@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedRingError,
     VerificationError,
 )
-from .polynomials import Poly, exact_divide, is_primitive
+from .polynomials import Poly, _identity_holds, exact_divide, is_primitive
 from .rings import ZZ, Record, WRational, primes_up_to
 
 DEFAULT_WINDOW = 20
@@ -131,7 +131,7 @@ def certify_divisibility(f: Poly, g: Poly, search_bound: int = 1000) -> Divisibi
         raise NotPrimitiveError("the divisor must be primitive (unit content)")
     quotient = exact_divide(f, g)
     if quotient is not None:
-        if g * quotient != f:
+        if not _identity_holds(f, g, quotient):
             raise VerificationError("certified quotient failed re-expansion")
         return DivisibilityCertificate("DIVIDES", quotient, None)
     for k in witness_scan_order(search_bound):

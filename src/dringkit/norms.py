@@ -8,11 +8,11 @@ trusted.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import UnsupportedRingError, VerificationError
-from .polynomials import Poly
-from .rings import ZZ, QuadInt, QuadRing, Record
+from .polynomials import Poly, _plus_minus_values, _quad_product
+from .rings import ZZ, QuadRing, Record
 
 STATUS_HOLDS = "holds"
 STATUS_VACUOUS = "vacuous"
@@ -26,21 +26,29 @@ def conjugate_poly(p: Poly) -> Poly:
     return p if tuple(coeffs) == p.coeffs else Poly._trusted(coeffs, p.ring)
 
 
+def _conjugate_pairs(pairs: list[tuple[int, int]], ring: QuadRing) -> list[tuple[int, int]]:
+    """The coordinates (a + t*b, -b) of conj(a + b*w) for each pair (a, b):
+    the adjugate's first column, as in QuadInt.conjugate."""
+    t = ring.t
+    return [(a + t * b, -b) for a, b in pairs]
+
+
 def norm_poly(p: Poly) -> Poly:
     """The product p * conjugate_poly(p), projected onto Z[x].
 
-    Every coefficient of the product has zero w-part; the projection checks
-    this and raises VerificationError on a violation, which would indicate an
-    arithmetic bug rather than bad input.
+    The product is taken on integer coordinates, p's coefficients against the
+    coordinate pairs of their conjugates. Every coefficient of it has zero
+    w-part; the projection checks this and raises VerificationError on a
+    violation, which would indicate an arithmetic bug rather than bad input.
     """
-    if not isinstance(p.ring, QuadRing):
+    ring = p.ring
+    if not isinstance(ring, QuadRing):
         raise UnsupportedRingError("norm polynomials need quadratic coefficients")
-    product = p * conjugate_poly(p)
-    values = []
-    for i, c in enumerate(product.coeffs):
-        if c.b != 0:
-            raise VerificationError(f"coefficient of x^{i} kept w-part {c.b}")
-        values.append(c.a)
+    pairs = _conjugate_pairs([(c.a, c.b) for c in p.coeffs], ring)
+    values, w_parts = _quad_product(p.coeffs, pairs, ring)
+    for i, b in enumerate(w_parts):
+        if b != 0:
+            raise VerificationError(f"coefficient of x^{i} kept w-part {b}")
     return Poly._trusted(values, ZZ)
 
 
@@ -76,8 +84,11 @@ def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferRep
     dividend_norm = norm_poly(f)
     divisor_norm = norm_poly(g)
     points = sorted(set(ZZ.coerce(b) for b in samples))
-    gvals, fvals = g.values(points), f.values(points)
-    gnorms, fnorms = divisor_norm.values(points), dividend_norm.values(points)
+    ks = {abs(k) for k in points}
+    gvals = _plus_minus_values(g.coeffs, f.ring, ks)
+    fvals = _plus_minus_values(f.coeffs, f.ring, ks)
+    gnorms = _plus_minus_values(divisor_norm.coeffs, ZZ, ks)
+    fnorms = _plus_minus_values(dividend_norm.coeffs, ZZ, ks)
     records = []
     for point in points:
         gval, fval = gvals[point], fvals[point]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from itertools import zip_longest
-from typing import Union
 
 from .errors import (
     RingMismatchError,
@@ -28,8 +27,8 @@ from .errors import (
 )
 from .rings import NORM_EUCLIDEAN_D, ZZ, IntegerRing, QuadInt, QuadRing, Record, _decimal
 
-CoefficientRing = Union[IntegerRing, QuadRing]
-Element = Union[int, QuadInt]
+CoefficientRing = IntegerRing | QuadRing
+Element = int | QuadInt
 
 
 class Poly(Record):
@@ -130,16 +129,7 @@ class Poly(Record):
         ring = self.ring
         if not isinstance(ring, QuadRing):
             return Poly._trusted(_int_product(f, g), ring)
-        pairs = [(y.a, y.b) for y in g]
-        out_a = [0] * (len(f) + len(g) - 1)
-        out_b = out_a[:]
-        for i, x in enumerate(f):
-            if not x:
-                continue
-            p, q, r, s = ring.matrix(x.a, x.b)
-            for j, (ya, yb) in enumerate(pairs, i):
-                out_a[j] += p * ya + q * yb
-                out_b[j] += r * ya + s * yb
+        out_a, out_b = _quad_product(f, [(y.a, y.b) for y in g], ring)
         return Poly._trusted([QuadInt(a, b, ring) for a, b in zip(out_a, out_b)], ring)
 
     __rmul__ = __mul__
@@ -242,6 +232,50 @@ def _int_product(a, b) -> list[int]:
     return out
 
 
+def _quad_product(rows, pairs, ring: QuadRing) -> tuple[list[int], list[int]]:
+    """The a- and b-coordinates of the product of the Z[w] coefficients rows
+    with the coefficients given by their coordinate pairs (a, b). Each
+    nonzero row applies its matrix from ring.matrix to every pair."""
+    out_a = [0] * (len(rows) + len(pairs) - 1)
+    out_b = out_a[:]
+    for i, x in enumerate(rows):
+        if not x:
+            continue
+        p, q, r, s = ring.matrix(x.a, x.b)
+        for j, (ya, yb) in enumerate(pairs, i):
+            out_a[j] += p * ya + q * yb
+            out_b[j] += r * ya + s * yb
+    return out_a, out_b
+
+
+def _identity_holds(f: Poly, g: Poly, q: Poly, r: Poly | None = None, multiplier=None) -> bool:
+    """multiplier * f == g*q + r, the identity every division re-checks; a
+    multiplier or r left out is 1 or 0.
+
+    Over Z it is that Poly expression. Over Z[w] the residual g*q + r -
+    multiplier*f is summed on integer coordinates and must vanish, so no
+    QuadInt is built.
+    """
+    ring = f.ring
+    if not isinstance(ring, QuadRing):
+        lhs = f if multiplier is None else f * multiplier
+        return lhs == (g * q if r is None else g * q + r)
+    rest = () if r is None else r.coeffs
+    out_a, out_b = _quad_product(g.coeffs, [(c.a, c.b) for c in q.coeffs], ring)
+    pad = [0] * (max(len(f.coeffs), len(rest)) - len(out_a))
+    out_a += pad
+    out_b += pad
+    for i, c in enumerate(rest):
+        out_a[i] += c.a
+        out_b[i] += c.b
+    m = ring.one if multiplier is None else multiplier
+    ma, mm, mb, mt = ring.matrix(m.a, m.b)
+    for i, c in enumerate(f.coeffs):
+        out_a[i] -= ma * c.a + mm * c.b
+        out_b[i] -= mb * c.a + mt * c.b
+    return not (any(out_a) or any(out_b))
+
+
 def _term_text(c: Element, power: int) -> tuple[int, str]:
     """Sign and unsigned text of one printed term."""
     if power == 0:
@@ -325,7 +359,7 @@ def pseudo_divide(f: Poly, g: Poly) -> PseudoDivResult:
         multiplier, q, r = _int_pseudo_divide(f.coeffs, g.coeffs, s)
     quotient = Poly._trusted(q, ring)
     remainder = Poly._trusted(r, ring)
-    if f * multiplier != g * quotient + remainder:
+    if not _identity_holds(f, g, quotient, remainder, multiplier):
         raise VerificationError("pseudo-division identity failed")
     return PseudoDivResult(multiplier, quotient, remainder, s)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import (
     DenominatorNotInW,
@@ -170,6 +171,10 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._fields = vars(cls).get("_fields", cls.__slots__)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        get = operator.attrgetter(*cls._fields)
+        # An attrgetter is no descriptor, so self._get_values(self) calls it;
+        # one field gives a bare value, so that case is wrapped in a 1-tuple.
+        cls._get_values = get if len(cls._fields) > 1 else staticmethod(lambda self: (get(self),))
 
     def __init__(self, *values) -> None:
         if len(values) != len(self._setters):
@@ -182,23 +187,20 @@ class Record:
 
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return other is self or self._values() == other._values()
+        return other is self or self._get_values(self) == self._get_values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._get_values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._get_values(self)
 
 
 class QuadRing(Record):

@@ -27,11 +27,13 @@ from dringkit import (
     WRational,
     ZeroInputError,
     ZZ,
+    conjugate_poly,
     is_primitive,
     primes_up_to,
     primitive_part,
 )
 from dringkit.lab import W_PRIMES_UNDER_100
+from dringkit.norms import STATUS_HOLDS, STATUS_VACUOUS, STATUS_VIOLATION, TransferReport, TransferSample
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
 from dringkit.polynomials import PseudoDivResult, _int_product
 from dringkit.rings import _TRIAL_DIVISION_CAP, _first_non_w_prime, _round_half_to_zero
@@ -78,6 +80,9 @@ def brute_is_prime(n: int) -> bool:
 
 
 TEST_QUAD_DS = (-1, -3, 5)
+
+# Every whitelisted field, and Q(sqrt -5) outside the whitelist.
+RECHECK_QUAD_RINGS = tuple(QuadRing(d) for d in sorted(NORM_EUCLIDEAN_D)) + (QuadRing(-5),)
 
 # Eight norm-Euclidean fields, imaginary and real, with t = 0 and t = 1, and
 # two rings without a gcd: -5 and 999997 = 757 * 1321 = 1 (mod 4).
@@ -680,3 +685,61 @@ def _two_x_times_minus(a: Poly, b: Poly) -> Poly:
     for i, c in enumerate(b.coeffs):
         out[i] -= c
     return Poly._trusted(out, ZZ)
+
+
+# --- whole-Poly forms of the re-checks ------------------------------------------
+#
+# The division identity, the norm polynomial and the norm-transfer tables as
+# they were written before they moved onto integer coordinates. Products go
+# through product_reference, on whole ring elements, so none of them shares
+# the coordinate kernel of Poly.__mul__.
+
+
+def identity_reference(f: Poly, g: Poly, q: Poly, r: Poly | None = None, multiplier=None) -> bool:
+    """multiplier * f == g*q + r; a multiplier or r left out is 1 or 0."""
+    lhs = f if multiplier is None else product_reference(Poly.constant(multiplier, f.ring), f)
+    rhs = product_reference(g, q)
+    return lhs == (rhs if r is None else rhs + r)
+
+
+def norm_poly_reference(p: Poly, conjugate: Poly | None = None) -> Poly:
+    """p * conjugate_poly(p) projected onto Z[x], raising on a coefficient
+    that keeps a w-part; `conjugate` stands in for conjugate_poly(p)."""
+    product = product_reference(p, conjugate_poly(p) if conjugate is None else conjugate)
+    values = []
+    for i, c in enumerate(product.coeffs):
+        if c.b != 0:
+            raise VerificationError(f"coefficient of x^{i} kept w-part {c.b}")
+        values.append(c.a)
+    return Poly._trusted(values, ZZ)
+
+
+def norm_transfer_reference(f: Poly, g: Poly, samples) -> TransferReport:
+    """norm_transfer_check with its four value tables from Poly.values."""
+    f._check_ring(g)
+    if not g:
+        raise ZeroDivisionError("the divisor polynomial is zero")
+    dividend_norm = norm_poly_reference(f)
+    divisor_norm = norm_poly_reference(g)
+    points = sorted(set(ZZ.coerce(b) for b in samples))
+    gvals, fvals = g.values(points), f.values(points)
+    gnorms, fnorms = divisor_norm.values(points), dividend_norm.values(points)
+    records = []
+    for point in points:
+        gval, fval = gvals[point], fvals[point]
+        gnorm, fnorm = gnorms[point], fnorms[point]
+        if gnorm != gval.norm() or fnorm != fval.norm():
+            raise VerificationError("norm evaluation disagreed with elementwise norm")
+        element_divides = norm_divides = None
+        status = STATUS_VACUOUS
+        if gval:
+            element_divides = gval.divides(fval) is not None
+            norm_divides = fnorm % gnorm == 0
+            if element_divides:
+                status = STATUS_HOLDS if norm_divides else STATUS_VIOLATION
+        records.append(
+            TransferSample(point, gval, fval, gnorm, fnorm, element_divides, norm_divides, status)
+        )
+    violation = any(r.status == STATUS_VIOLATION for r in records)
+    return TransferReport(dividend_norm, divisor_norm, tuple(records),
+                          "VIOLATION" if violation else "CONSISTENT")

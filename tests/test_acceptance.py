@@ -6,22 +6,29 @@ probabilistic threshold. Reference coefficient tables are frozen here and
 cross-checked against independent, brute-force oracles computed in this file.
 """
 
+import math
 import random
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from dringkit import (
+    NotPrimitiveError,
     Poly,
     QuadRing,
+    UnsupportedRingError,
     ZZ,
     certify_divisibility,
     cheb_certify,
     cheb_generate,
+    content,
     eval_divisibility,
     exact_divide,
     field_divide,
     is_primitive,
     norm_poly,
+    norm_transfer_check,
     parse_poly,
     pseudo_divide,
     sf_search,
@@ -243,3 +250,69 @@ def test_gate_11_witness_search_hit_rate_over_quadratic_rings():
             for f, g in missing:
                 print(f"d = {d}: no witness within 200 for f = {f}, g = {g}")
             assert len(missing) <= 2, f"d = {d}: hit rate below 99%: {200 - len(missing)}/200"
+
+
+# Rings of integers that are not UFDs, each with a non-principal prime
+# P = (2, beta) of norm 2 and P^2 = (2), and the modulus m | d by which no
+# element has norm 2 (or -2 for real d): N(a + b*w) = a^2 - d*b^2 = a^2 mod m.
+NON_UFD_CASES = ((-5, (1, 1), 5), (-6, (0, 1), 3), (10, (0, 1), 5))
+# Whitelisted rings where the same divisor 2x + beta has content beta.
+UFD_CONTRASTS = ((-1, (1, 1)), (-2, (0, 1)), (2, (0, 1)), (3, (1, 1)))
+
+
+def test_gate_12_pointwise_divisibility_without_unique_factorization():
+    with gate(12, "Z[sqrt -5], Z[sqrt -6], Z[sqrt 10]: g(k) | f(k) everywhere, g not | f in D[x]"):
+        for d, (a, b), m in NON_UFD_CASES:
+            ring = QuadRing(d)  # parse_ring refuses these d
+            two, beta = ring.element(2), ring.element(a, b)
+            # D/P = F_2, so k^2 - k lies in P for every k in D, and
+            # alpha = beta/2 in P^-1 maps it into D: f = g * alpha * (x^2 - x),
+            # where g * alpha = beta*x + beta^2/2.
+            half_square = two.divides(beta * beta)
+            assert half_square is not None and two.divides(beta) is None
+            g = Poly((beta, two), ring)
+            x2_minus_x = Poly((0, -1, 1), ring)
+            f = Poly((half_square, beta), ring) * x2_minus_x
+            assert f * 2 == g * Poly.constant(beta, ring) * x2_minus_x
+            if d == -5:
+                assert (str(g), str(f)) == ("[2]x + [1+1w]", "[1+1w]x^3 - [3]x^2 + [2-1w]x")
+
+            box = [ring.element(i, j) for i in range(-10, 11) for j in range(-10, 11)]
+            for k in box:
+                gk = g.evaluate(k)
+                assert gk and gk.divides(f.evaluate(k)) is not None, f"d = {d}, k = {k}"
+            report = eval_divisibility(f, g, range(-50, 51))
+            assert report.verdict == "ALL_DIVIDE" and report.divisible == 101
+            assert norm_transfer_check(f, g, range(-5, 6)).verdict == "CONSISTENT"
+
+            # f/g = alpha (x^2 - x) lies in K[x] but not in D[x].
+            assert exact_divide(f, g) is None
+            den, q = field_divide(f, g)  # re-checks den * f == g*q + 0 on coordinates
+            assert Poly.constant(den, ring) * f == g * q
+            assert q * 2 == Poly.constant(den * beta, ring) * x2_minus_x
+
+            # g is primitive in the gcd sense, yet its content ideal is P: a
+            # common non-unit divisor of 2 and beta would have norm +-2.
+            assert math.gcd(two.norm(), beta.norm()) == 2
+            squares = {i * i % m for i in range(m)}
+            assert all(ring.element(i, j).norm() % m == i * i % m
+                       for i in range(m) for j in range(m))
+            for norm in (2,) if d < 0 else (2, -2):
+                assert norm % m not in squares, f"d = {d}: norm {norm} is a square mod {m}"
+            with pytest.raises(UnsupportedRingError):
+                is_primitive(g)
+            with pytest.raises(UnsupportedRingError):
+                certify_divisibility(f, g)
+
+        # On the whitelist the same divisor is not primitive, and the
+        # certifier's precondition refuses it.
+        for d, (a, b) in UFD_CONTRASTS:
+            ring = QuadRing(d)
+            beta = ring.element(a, b)
+            g = Poly((beta, ring.element(2)), ring)
+            assert abs(beta.norm()) == 2
+            c = content(g)
+            assert c.divides(beta) is not None and beta.divides(c) is not None, f"d = {d}"
+            assert not is_primitive(g)
+            with pytest.raises(NotPrimitiveError):
+                certify_divisibility(g * Poly.x(ring), g)

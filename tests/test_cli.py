@@ -537,20 +537,25 @@ def _stdlib_imports_of_src() -> list[str]:
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Start-up cost: dataclasses brings inspect, ast, dis and tokenize with it.
-    # inspect is allowed only where the standard modules src/ imports load it
-    # too, as some Python versions may.
+    # Start-up cost: dataclasses brings inspect, ast, dis and tokenize with it,
+    # and typing takes a few milliseconds of its own. inspect and typing are
+    # allowed only where the standard modules src/ imports load them too, as
+    # some Python versions may. Both probes run without site (-S), since a
+    # .pth file in site-packages may import typing before any of them.
     def loaded(imports: str) -> set[str]:
         probe = f"import sys, {imports}; print(*sorted(sys.modules))"
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=module_env(), check=True)
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, env=module_env(), check=True)
         return set(proc.stdout.split())
 
-    baseline = loaded(", ".join(_stdlib_imports_of_src()))
+    imports = _stdlib_imports_of_src()
+    assert "typing" not in imports  # annotations stay strings; collections.abc has the rest
+    baseline = loaded(", ".join(imports))
     modules = loaded("dringkit.cli")
     assert "dringkit.cli" in modules
     assert "dataclasses" not in modules
     assert "inspect" not in modules or "inspect" in baseline
+    assert "typing" not in modules or "typing" in baseline
 
 
 def test_a_closed_stdout_exits_two_with_one_line():

@@ -30,6 +30,8 @@ from dringkit import (
     exact_divide,
     field_divide,
     is_primitive,
+    norm_poly,
+    norm_transfer_check,
     primitive_part,
     pseudo_divide,
 )
@@ -50,6 +52,8 @@ GOLDEN = {
     "certify_divisibility": "06031d95c70c6e38",
     "eval_divisibility": "4394034fcd879287",
     "conjugate_poly": "8327f5e63bc7ebe8",
+    "norm_poly": "ba9c3d05270e9c5f",
+    "norm_transfer_check": "bef704caf0525d26",
     # zwdemo --json reports "certified" and no longer "failures" or
     # "trial_division", and its text line no longer "failures: 0"; stripping
     # just those from the corpus of cd33186592ec4d96 gives this digest.
@@ -117,6 +121,8 @@ def _library_lines() -> dict[str, list[str]]:
             lines["certify_divisibility"].append(_outcome(certify_divisibility, f, g, 40))
             lines["eval_divisibility"].append(_outcome(eval_divisibility, f, g, samples))
             lines["conjugate_poly"].append(_outcome(conjugate_poly, f))
+            lines["norm_poly"].append(_outcome(norm_poly, f))
+            lines["norm_transfer_check"].append(_outcome(norm_transfer_check, f, g, range(-6, 7)))
     return lines
 
 

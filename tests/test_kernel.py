@@ -11,12 +11,13 @@ import random
 from itertools import zip_longest
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dringkit import (
     NORM_EUCLIDEAN_D,
     Poly,
+    QuadInt,
     QuadRing,
     RingMismatchError,
     VerificationError,
@@ -26,9 +27,12 @@ from dringkit import (
     is_primitive,
     pseudo_divide,
 )
+from dringkit import polynomials
 from helpers import (
     KERNEL_QUAD_DS,
+    RECHECK_QUAD_RINGS,
     exact_divide_reference,
+    identity_reference,
     oracle_exact_divide,
     oracle_pseudo_divide,
     product_reference,
@@ -281,12 +285,74 @@ def test_empty_operands_of_product_and_difference(ring):
 @pytest.mark.parametrize("ring", TRIVIAL_RINGS, ids=str)
 def test_short_pseudo_division_is_re_checked(ring, monkeypatch):
     # Every pseudo-division re-checks lc(g)^s * f == g*q + r, also at s = 0;
-    # a wrong sum must surface as VerificationError, not a silent answer.
-    f, g = Poly.x(ring), Poly((1, 0, 1), ring)
-    add = Poly.__add__
-    monkeypatch.setattr(Poly, "__add__", lambda p, q: add(add(p, q), Poly.one(ring)))
-    with pytest.raises(VerificationError, match="pseudo-division identity failed"):
-        pseudo_divide(f, g)
+    # a remainder off by one in one coordinate (the w-part over Z[w]) must
+    # surface as VerificationError, not a silent answer.
+    name = "_int_pseudo_divide" if ring == ZZ else "_quad_pseudo_divide"
+    divide = getattr(polynomials, name)
+
+    def off_by_one(*args):
+        multiplier, q, r = divide(*args)
+        c = r[0]
+        r[0] = c + 1 if ring == ZZ else QuadInt(c.a, c.b + 1, ring)
+        return multiplier, q, r
+
+    monkeypatch.setattr(polynomials, name, off_by_one)
+    g = Poly((1, 0, 1), ring)
+    for f in (Poly.x(ring), Poly.monomial(3, 3, ring)):  # s = 0, then s = 2
+        with pytest.raises(VerificationError, match="pseudo-division identity failed"):
+            pseudo_divide(f, g)
+
+
+# --- the re-checked identity -----------------------------------------------------
+#
+# pseudo_divide and certify_divisibility decide multiplier*f == g*q + r with
+# polynomials._identity_holds, on integer coordinates over Z[w]. Against the
+# whole-Poly form in helpers, on true identities and on ones whose quotient or
+# remainder is off by a drawn delta at a drawn index, also past its end.
+
+
+def _poly(pairs, ring) -> Poly:
+    """quad_poly, or over Z the polynomial of the first coordinates."""
+    return Poly([a for a, _ in pairs]) if ring == ZZ else quad_poly(pairs, ring)
+
+
+def _shifted(p: Poly, index: int, delta) -> Poly:
+    """p with delta added to its coefficient of x**index."""
+    coeffs = list(p.coeffs) + [p.ring.zero] * (index + 1 - len(p.coeffs))
+    coeffs[index] = coeffs[index] + delta
+    return Poly(coeffs, p.ring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ring=st.sampled_from((ZZ,) + RECHECK_QUAD_RINGS),
+    fc=quad_coeffs(9),
+    gc=quad_coeffs(5),
+    corrupt=st.sampled_from(("nothing", "quotient", "remainder")),
+    index=st.integers(0, 9),
+    delta=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+@example(ring=QuadRing(-5), fc=[], gc=[(0, 2)], corrupt="remainder", index=3, delta=(0, 1))
+@example(ring=QuadRing(73), fc=[(1, 1)], gc=[(1, 0), (2, 3)], corrupt="quotient", index=0, delta=(0, 1))
+def test_the_coordinate_identity_matches_the_poly_identity(ring, fc, gc, corrupt, index, delta):
+    f, g = _poly(fc, ring), _poly(gc, ring)
+    assume(g)
+    delta = delta[0] if ring == ZZ else ring.element(*delta)
+    result = pseudo_divide_reference(f, g)
+    m, q, r = result.multiplier, result.quotient, result.remainder
+    if corrupt == "quotient":
+        q = _shifted(q, index, delta)
+    elif corrupt == "remainder":
+        r = _shifted(r, index, delta)
+    holds = polynomials._identity_holds(f, g, q, r, m)
+    assert holds is identity_reference(f, g, q, r, m)
+    assert holds is (corrupt == "nothing" or not delta)
+    # certify_divisibility's form: f == g*q, with no multiplier or remainder.
+    h = g * _poly(fc, ring)
+    wrong = _shifted(_poly(fc, ring), index, delta)
+    holds = polynomials._identity_holds(h, g, wrong)
+    assert holds is identity_reference(h, g, wrong)
+    assert holds is (not delta)
 
 
 # --- validation at the boundary ------------------------------------------------

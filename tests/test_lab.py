@@ -477,6 +477,19 @@ def test_certify_rejects_a_quotient_that_fails_re_expansion(monkeypatch):
         certify_divisibility(parse_poly("x^2 - 1"), parse_poly("x - 1"))
 
 
+def test_certify_rejects_a_quotient_that_fails_re_expansion_over_z_w(monkeypatch):
+    # A quotient off by one in the w-part of one coefficient must fail the
+    # coordinate re-expansion, not be certified.
+    ring = QuadRing(-1)
+    g = Poly((ring.element(0, -1), 1), ring)  # x - w
+    q = Poly((2, ring.element(3, 1), 1), ring)
+    wrong = Poly((2, ring.element(3, 2), 1), ring)
+    assert certify_divisibility(g * q, g).quotient == q
+    monkeypatch.setattr(lab, "exact_divide", lambda f, g: wrong)
+    with pytest.raises(VerificationError, match="re-expansion"):
+        certify_divisibility(g * q, g)
+
+
 def test_the_root_recheck_survives_python_dash_o():
     code = (
         "import dringkit.lab as lab\n"

@@ -1,11 +1,16 @@
 """Conjugate polynomials, norm polynomials, and the norm-transfer check."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dringkit import (
+    DRingKitError,
     Poly,
+    QuadInt,
     QuadRing,
     RingMismatchError,
     UnsupportedRingError,
@@ -16,7 +21,13 @@ from dringkit import (
     norm_transfer_check,
 )
 from dringkit import norms
-from helpers import TEST_QUAD_DS, rand_poly
+from helpers import (
+    RECHECK_QUAD_RINGS,
+    TEST_QUAD_DS,
+    norm_poly_reference,
+    norm_transfer_reference,
+    rand_poly,
+)
 
 GAUSS = QuadRing(-1)
 
@@ -100,9 +111,60 @@ def test_norm_poly_is_multiplicative():
 def test_norm_poly_checks_the_w_parts_of_the_product(monkeypatch):
     # With conjugation replaced by the identity, norm_poly(x + w) squares
     # x + w instead: x^2 + 2w*x - 1, whose x^1 coefficient keeps w-part 2.
-    monkeypatch.setattr(norms, "conjugate_poly", lambda p: p)
+    monkeypatch.setattr(norms, "_conjugate_pairs", lambda pairs, ring: pairs)
     with pytest.raises(VerificationError, match="x\\^1 kept w-part 2"):
         norm_poly(Poly((GAUSS.omega, GAUSS.one), GAUSS))
+
+
+pairs_strategy = st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=7)
+
+
+def _outcome(fn, *args):
+    """The result's repr, or the error's class and message."""
+    try:
+        return repr(fn(*args))
+    except (DRingKitError, ZeroDivisionError) as exc:
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ring=st.sampled_from(RECHECK_QUAD_RINGS),
+    pairs=pairs_strategy,
+    index=st.integers(0, 8),
+    delta=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+)
+@example(ring=GAUSS, pairs=[(0, 1), (1, 0)], index=0, delta=(0, 2))
+def test_norm_poly_matches_the_product_with_the_conjugate(ring, pairs, index, delta):
+    # norm_poly takes the product on coordinate pairs; the whole-Poly form in
+    # helpers multiplies by conjugate_poly(p). Both must give the same ints,
+    # and with one conjugate coefficient off by delta the same w-part error.
+    p = Poly([ring.element(a, b) for a, b in pairs], ring)
+    norm = norm_poly(p)
+    assert norm == norm_poly_reference(p)
+    assert all(type(c) is int for c in norm.coeffs)
+    conj = [(c.a, c.b) for c in conjugate_poly(p).coeffs]
+    conj += [(0, 0)] * (index + 1 - len(conj))
+    conj[index] = (conj[index][0] + delta[0], conj[index][1] + delta[1])
+    conj_poly = Poly._trusted([QuadInt(a, b, ring) for a, b in conj], ring)
+    with mock.patch.object(norms, "_conjugate_pairs", lambda pairs, ring: conj):
+        corrupted = _outcome(norm_poly, p)
+    assert corrupted == _outcome(norm_poly_reference, p, conj_poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ring=st.sampled_from(RECHECK_QUAD_RINGS),
+    f_pairs=pairs_strategy,
+    g_pairs=pairs_strategy,
+    samples=st.lists(st.integers(-8, 8), max_size=12),
+)
+def test_transfer_matches_the_report_from_poly_values(ring, f_pairs, g_pairs, samples):
+    f = Poly([ring.element(a, b) for a, b in f_pairs], ring)
+    g = Poly([ring.element(a, b) for a, b in g_pairs], ring)
+    assert _outcome(norm_transfer_check, f, g, samples) == _outcome(
+        norm_transfer_reference, f, g, samples
+    )
 
 
 # --- norm transfer ---------------------------------------------------------
