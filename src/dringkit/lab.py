@@ -112,7 +112,10 @@ def certify_divisibility(f: Poly, g: Poly, search_bound: int = 1000) -> Divisibi
     """Decide g | f in R[x] for primitive nonconstant g over Z (or a
     norm-Euclidean quadratic ring).
 
-    On success the quotient is re-verified by multiplication. On failure the
+    The scan's first point, k = 0, costs no evaluation: g(0) and f(0) are
+    the constant terms, so when g(0) != 0 does not divide f(0) the answer is
+    NOT_DIVIDES with witness 0 and no division runs. Otherwise g is divided
+    into f, and a quotient is re-verified by multiplication. On failure the
     integers 0, 1, -1, 2, -2, ... with |k| <= search_bound are scanned for a
     witness with g(k) != 0 and g(k) not dividing f(k). For such a divisor,
     pointwise divisibility at every integer forces polynomial divisibility,
@@ -129,6 +132,9 @@ def certify_divisibility(f: Poly, g: Poly, search_bound: int = 1000) -> Divisibi
         raise ConstantDivisorError("the divisor must be nonconstant")
     if not is_primitive(g):
         raise NotPrimitiveError("the divisor must be primitive (unit content)")
+    g0 = g.coeffs[0]
+    if f and g0 and f.ring.divides(g0, f.coeffs[0]) is None:
+        return DivisibilityCertificate("NOT_DIVIDES", None, 0)
     quotient = exact_divide(f, g)
     if quotient is not None:
         if not _identity_holds(f, g, quotient):

@@ -171,19 +171,38 @@ class Poly(Record):
         return {k: ints[k] if isinstance(k, int) else self.evaluate(k) for k in points}
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        """The terms from the highest power down, each printed from its
+        coefficient's ints: a sign, the absolute value and the power of x.
+        A Z[w] coefficient is bracketed and takes its sign from a, or from b
+        when a = 0; a Z coefficient 1 is left out before x."""
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
-        parts: list[str] = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if not c:
-                continue
-            sign, body = _term_text(c, power)
-            if not parts:
-                parts.append(body if sign > 0 else "-" + body)
+        quad = isinstance(self.ring, QuadRing)
+        parts = []
+        for power in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[power]
+            var = "" if power == 0 else "x" if power == 1 else f"x^{power}"
+            if quad:
+                a, b = c.a, c.b
+                if a < 0 or not a and b < 0:
+                    sign, a, b = " - ", -a, -b
+                elif a or b:
+                    sign = " + "
+                else:
+                    continue
+                w = "" if not b else f"+{_decimal(b)}w" if b > 0 else f"-{_decimal(-b)}w"
+                parts.append(f"{sign}[{_decimal(a)}{w}]{var}")
             else:
-                parts.append((" + " if sign > 0 else " - ") + body)
-        return "".join(parts)
+                if c > 0:
+                    sign = " + "
+                elif c:
+                    sign, c = " - ", -c
+                else:
+                    continue
+                parts.append(f"{sign}{var}" if c == 1 and var else f"{sign}{_decimal(c)}{var}")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -274,23 +293,6 @@ def _identity_holds(f: Poly, g: Poly, q: Poly, r: Poly | None = None, multiplier
         out_a[i] -= ma * c.a + mm * c.b
         out_b[i] -= mb * c.a + mt * c.b
     return not (any(out_a) or any(out_b))
-
-
-def _term_text(c: Element, power: int) -> tuple[int, str]:
-    """Sign and unsigned text of one printed term."""
-    if power == 0:
-        var = ""
-    elif power == 1:
-        var = "x"
-    else:
-        var = f"x^{power}"
-    if isinstance(c, QuadInt):
-        sign = 1 if (c.a > 0 or (c.a == 0 and c.b > 0)) else -1
-        m = c if sign > 0 else -c
-        return sign, f"[{m}]{var}"
-    sign = 1 if c > 0 else -1
-    m = abs(c)
-    return sign, var if var and m == 1 else _decimal(m) + var
 
 
 class PseudoDivResult(Record):

@@ -12,10 +12,13 @@ from typing import Sequence
 
 from dringkit import (
     ChebPair,
+    ConstantDivisorError,
     DenominatorNotInW,
+    DivisibilityCertificate,
     EmptySampleSetError,
     EvalDivReport,
     NORM_EUCLIDEAN_D,
+    NotPrimitiveError,
     Poly,
     PolyParseError,
     PrimeSolvabilityRecord,
@@ -31,12 +34,13 @@ from dringkit import (
     is_primitive,
     primes_up_to,
     primitive_part,
+    witness_scan_order,
 )
 from dringkit.lab import W_PRIMES_UNDER_100
 from dringkit.norms import STATUS_HOLDS, STATUS_VACUOUS, STATUS_VIOLATION, TransferReport, TransferSample
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
 from dringkit.polynomials import PseudoDivResult, _int_product
-from dringkit.rings import _TRIAL_DIVISION_CAP, _first_non_w_prime, _round_half_to_zero
+from dringkit.rings import _TRIAL_DIVISION_CAP, _decimal, _first_non_w_prime, _round_half_to_zero
 
 
 def rand_coeff(rng: random.Random, ring, bound: int = 50):
@@ -471,6 +475,76 @@ def evaluate_reference(p: Poly, point):
     for c in reversed(p.coeffs):
         acc = acc * point + c
     return acc
+
+
+# --- reference printer ------------------------------------------------------------
+#
+# Poly.__str__ as it was before it printed each term from the coefficient's
+# ints: one call per term that builds the term's sign and unsigned text, the
+# latter through str(QuadInt) on the negated coefficient over Z[w].
+
+
+def term_text_reference(c, power: int) -> tuple[int, str]:
+    """Sign and unsigned text of one printed term."""
+    if power == 0:
+        var = ""
+    elif power == 1:
+        var = "x"
+    else:
+        var = f"x^{power}"
+    if isinstance(c, QuadInt):
+        sign = 1 if (c.a > 0 or (c.a == 0 and c.b > 0)) else -1
+        m = c if sign > 0 else -c
+        return sign, f"[{m}]{var}"
+    sign = 1 if c > 0 else -1
+    m = abs(c)
+    return sign, var if var and m == 1 else _decimal(m) + var
+
+
+def str_reference(p: Poly) -> str:
+    if not p.coeffs:
+        return "0"
+    parts: list[str] = []
+    for power in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[power]
+        if not c:
+            continue
+        sign, body = term_text_reference(c, power)
+        if not parts:
+            parts.append(body if sign > 0 else "-" + body)
+        else:
+            parts.append((" + " if sign > 0 else " - ") + body)
+    return "".join(parts)
+
+
+# --- reference certification ------------------------------------------------------
+#
+# certify_divisibility as it was before it compared the constant terms: the
+# whole division first, and the witness scan from k = 0 only when it fails.
+# Division, re-expansion and evaluation go through the reference loops above
+# and below, so none of them shares code with the library path.
+
+
+def certify_reference(f: Poly, g: Poly, search_bound: int = 1000) -> DivisibilityCertificate:
+    if ZZ.coerce(search_bound) < 0:
+        raise ValueError("the witness search bound must not be negative")
+    f._check_ring(g)
+    if not g:
+        raise ZeroDivisionError("the divisor polynomial is zero")
+    if g.degree() == 0:
+        raise ConstantDivisorError("the divisor must be nonconstant")
+    if not is_primitive(g):
+        raise NotPrimitiveError("the divisor must be primitive (unit content)")
+    quotient = exact_divide_reference(f, g)
+    if quotient is not None:
+        if product_reference(g, quotient) != f:
+            raise VerificationError("certified quotient failed re-expansion")
+        return DivisibilityCertificate("DIVIDES", quotient, None)
+    for k in witness_scan_order(search_bound):
+        gval = evaluate_reference(g, k)
+        if gval and f.ring.divides(gval, evaluate_reference(f, k)) is None:
+            return DivisibilityCertificate("NOT_DIVIDES", None, k)
+    return DivisibilityCertificate("NOT_DIVIDES", None, None)
 
 
 # --- reference pointwise divisibility -------------------------------------------

@@ -6,11 +6,14 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dringkit import (
     ChebPair,
     ConstantDivisorError,
     ConstantPolynomialError,
+    DRingKitError,
     EmptySampleSetError,
     NotPrimitiveError,
     Poly,
@@ -31,6 +34,7 @@ from dringkit import (
 from dringkit import lab
 from helpers import (
     brute_is_prime,
+    certify_reference,
     cheb_pairs_reference,
     eval_divisibility_reference,
     rand_nonzero_coeff,
@@ -182,6 +186,68 @@ def test_certify_may_exhaust_a_tiny_bound():
     cert = certify_divisibility(f, g, search_bound=0)
     assert cert.verdict == "NOT_DIVIDES"
     assert cert.witness is None  # g(0) = 4 divides f(0) = 0; scan stops at 0
+
+
+def test_a_constant_term_that_does_not_divide_is_the_witness_before_any_division(monkeypatch):
+    def no_division(f, g):
+        raise AssertionError("exact_divide ran")
+
+    monkeypatch.setattr(lab, "exact_divide", no_division)
+    cert = certify_divisibility(parse_poly("x^2 + 3"), parse_poly("x + 2"))
+    assert cert == lab.DivisibilityCertificate("NOT_DIVIDES", None, 0)
+
+
+# The reference divides first and scans from k = 0 only when the division
+# fails; the library compares the constant terms first. Both must give the
+# same certificate, or raise the same error, on divisors with g(0) = 0, on
+# zero and lower-degree dividends, on multiples and on near-multiples, with
+# search bounds down to 0.
+CERTIFY_RINGS = (ZZ, QuadRing(-1), QuadRing(-3), QuadRing(5), QuadRing(73))
+
+
+def _certify_outcome(certify, f, g, bound):
+    try:
+        return certify(f, g, bound)
+    except (ArithmeticError, ValueError, DRingKitError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def certify_cases(draw, ring):
+    def poly(min_size, max_size, bound=6):
+        coord = st.integers(-bound, bound)
+        if ring == ZZ:
+            return draw(st.lists(coord, min_size=min_size, max_size=max_size))
+        pairs = draw(st.lists(st.tuples(coord, coord), min_size=min_size, max_size=max_size))
+        return [ring.element(a, b) for a, b in pairs]
+
+    g = poly(2, 4)
+    if not g[-1] or draw(st.booleans()):
+        g[-1] = ring.one  # a monic divisor is primitive
+    if draw(st.booleans()):
+        g[0] = ring.zero
+    g = Poly(g, ring)
+    shape = draw(st.sampled_from(["zero", "lower", "multiple", "near", "any"]))
+    if shape == "zero":
+        f = Poly((), ring)
+    elif shape == "lower":
+        f = Poly(poly(0, g.degree()), ring)
+    elif shape == "any":
+        f = Poly(poly(0, 8, 40), ring)
+    else:
+        f = g * Poly(poly(1, 4), ring)
+        if shape == "near":
+            f = f + Poly(poly(1, g.degree(), 40), ring)
+    return f, g, draw(st.sampled_from([0, 0, 1, 2, 5, 30]))
+
+
+@pytest.mark.parametrize("ring", CERTIFY_RINGS, ids=str)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_certificates_match_dividing_before_the_scan(ring, data):
+    f, g, bound = data.draw(certify_cases(ring))
+    expected = _certify_outcome(certify_reference, f, g, bound)
+    assert _certify_outcome(certify_divisibility, f, g, bound) == expected
 
 
 # --- prime solvability search ------------------------------------------------

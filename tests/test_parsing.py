@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dringkit import (
     Poly,
     PolyParseError,
+    QuadInt,
     QuadRing,
     UnsupportedRingError,
     ZZ,
@@ -17,9 +18,14 @@ from dringkit import (
     parse_ring,
 )
 from dringkit.parsing import MAX_EXPONENT, MAX_LITERAL_DIGITS
-from helpers import TEST_QUAD_DS, parse_poly_reference, rand_poly
+from helpers import RECHECK_QUAD_RINGS, TEST_QUAD_DS, parse_poly_reference, rand_poly, str_reference
 
 GAUSS = QuadRing(-1)
+
+
+def _rarely(common, rare, one_in=10):
+    """rare once in one_in draws, common otherwise."""
+    return st.integers(1, one_in).flatmap(lambda i: rare if i == 1 else common)
 
 
 # --- ring specs -------------------------------------------------------------
@@ -210,6 +216,27 @@ def test_round_trip_over_quadratic_rings(d):
         assert parse_poly(str(p), ring) == p
 
 
+# Poly.__str__ prints each term from the coefficient's ints; the reference
+# printer builds it from the sign and str() of the whole coefficient.
+PRINT_INTS = _rarely(
+    st.sampled_from([0, 0, 1, -1, 2, -2]) | st.integers(-(10**30), 10**30),
+    st.builds(lambda s, n: s * (10**n + 7), st.sampled_from([1, -1]), st.integers(4_300, 4_310)),
+)
+
+
+@pytest.mark.parametrize("ring", (ZZ,) + RECHECK_QUAD_RINGS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_printing_matches_the_reference_printer(ring, data):
+    if ring == ZZ:
+        coeffs = data.draw(st.lists(PRINT_INTS, max_size=8))
+    else:
+        pairs = data.draw(st.lists(st.tuples(PRINT_INTS, PRINT_INTS), max_size=8))
+        coeffs = [QuadInt(a, b, ring) for a, b in pairs]
+    p = Poly(coeffs, ring)
+    assert str(p) == str_reference(p)
+
+
 # --- the reference parser -------------------------------------------------------
 #
 # tests/helpers.py keeps the tokenizer and recursive-descent parser that the
@@ -288,6 +315,96 @@ def test_arbitrary_texts_match_the_reference_parser(ring, text):
     assert _outcome(parse_poly, text, ring) == _outcome(parse_poly_reference, text, ring)
 
 
+# Uniform draws of characters seldom parse, so the accept path (one fullmatch
+# of the whole text, one findall of its terms) is reached mostly through
+# texts built term by term: whitespace runs in every slot, a sign or none on
+# the first term, every bracket form, "*" or none, x and x^k with powers that
+# repeat, and literals and exponents at their caps. Each text is also
+# compared with one character deleted or inserted, which mostly lands on the
+# refusal path.
+
+RUN_SPACE = st.sampled_from(["", "", " ", "\t", " \t ", "\n", " " * 33])
+# A literal or an exponent at its cap is slow to read for the reference
+# tokenizer, which goes character by character, so these are drawn rarely.
+RUN_DIGITS = _rarely(DIGITS, st.builds(
+    lambda n, d: d * n, st.integers(MAX_LITERAL_DIGITS - 2, MAX_LITERAL_DIGITS), st.sampled_from("19")
+))
+POWERS = _rarely(
+    st.sampled_from(["0", "1", "2", "2", "3", "007", "12"]),
+    st.sampled_from([str(MAX_EXPONENT), "0" + str(MAX_EXPONENT), str(MAX_EXPONENT - 1)]),
+    one_in=40,
+)
+BRACKET_FORMS = ("a", "bw", "w", "-w", "a+bw", "a-w", "a+w", "a-bw")
+
+
+@st.composite
+def bracket_forms(draw):
+    ws = lambda: draw(RUN_SPACE)  # noqa: E731
+    form = draw(st.sampled_from(BRACKET_FORMS))
+    parts = ["[", ws()]
+    if form == "-w":
+        parts += ["-", ws(), "w"]
+    else:
+        parts += [draw(st.sampled_from(["", "+", "-"])), ws()]
+        if form == "w":
+            parts.append("w")
+        else:
+            parts += [draw(RUN_DIGITS), ws()]
+            if form == "bw":
+                parts.append("w")
+            elif form != "a":
+                parts += [form[1], ws()]
+                parts += [draw(RUN_DIGITS), ws(), "w"] if form.endswith("bw") else ["w"]
+    parts += [ws(), "]"]
+    return "".join(parts)
+
+
+@st.composite
+def valid_texts(draw, ring):
+    ws = lambda: draw(RUN_SPACE)  # noqa: E731
+    coefficients = RUN_DIGITS if ring == ZZ else RUN_DIGITS | bracket_forms()
+    out = [ws()]
+    for i in range(draw(st.integers(1, 8))):
+        out += [draw(st.sampled_from(["+", "-"] if i else ["", "+", "-"])), ws()]
+        coeff = draw(st.none() | coefficients)
+        power = draw(st.none() | POWERS)
+        if coeff is not None:
+            out += [coeff, ws()]
+        if coeff is None or power is not None:
+            if coeff is not None and draw(st.booleans()):
+                out += ["*", ws()]
+            out += ["x", ws()]
+            if power is not None and (power != "1" or draw(st.booleans())):
+                out += ["^", ws(), power, ws()]
+    return "".join(out)
+
+
+@pytest.mark.parametrize("ring", PARSE_RINGS, ids=str)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_texts_built_term_by_term_match_the_reference_parser(ring, data):
+    text = data.draw(valid_texts(ring))
+    expected = _outcome(parse_poly_reference, text, ring)
+    assert expected[0] == "poly"
+    assert _outcome(parse_poly, text, ring) == expected
+
+
+@pytest.mark.parametrize("ring", PARSE_RINGS, ids=str)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_texts_one_edit_away_match_the_reference_parser(ring, data):
+    text = data.draw(valid_texts(ring))
+    # Half the edits land on or before a symbol, which whitespace runs and
+    # long literals would otherwise make rare.
+    symbols = [i for i, c in enumerate(text) if c in "+-*^[]xw"]
+    i = data.draw(st.integers(0, len(text)) | st.sampled_from(symbols or [0]))
+    if i < len(text) and data.draw(st.booleans()):
+        text = text[:i] + text[i + 1:]
+    else:
+        text = text[:i] + data.draw(st.sampled_from("0123456789 +-*^[]xw.\t")) + text[i:]
+    assert _outcome(parse_poly, text, ring) == _outcome(parse_poly_reference, text, ring)
+
+
 # --- linear time on long whitespace runs --------------------------------------------
 #
 # A term pattern with \s* on both sides of an optional piece backtracks
@@ -304,16 +421,28 @@ SLOTS = {
     "after - in brackets": ("[1-{}w]", "[1-{}]"),
     "between x and ^": ("x{}^2", "x{}^"),
     "before ]": ("[1+2w{}]x", "[1+2w{}x"),
+    "before '+'": ("x{}+1", "x{}+"),
+    "after an exponent": ("x^2{}+1", "x^2{}1"),
+    "after '*'": ("2*{}x", "2*{}"),
 }
+TEMPLATES = [t for pair in SLOTS.values() for t in pair]
+TEMPLATE_IDS = [f"{slot}-{kind}" for slot in SLOTS for kind in ("parses", "fails")]
 
 
-@pytest.mark.parametrize("template", [t for pair in SLOTS.values() for t in pair],
-                         ids=[f"{slot}-{kind}" for slot in SLOTS for kind in ("parses", "fails")])
-def test_long_whitespace_runs_take_linear_time(template):
-    text = template.format(RUN)
+def _parse_seconds(text, ring):
     start = time.perf_counter()
     try:
-        parse_poly(text, GAUSS)
+        parse_poly(text, ring)
     except PolyParseError:
         pass
-    assert time.perf_counter() - start < 1.0
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize("template", TEMPLATES, ids=TEMPLATE_IDS)
+def test_long_whitespace_runs_take_linear_time(template):
+    assert _parse_seconds(template.format(RUN), GAUSS) < 1.0
+
+
+@pytest.mark.parametrize("template", TEMPLATES, ids=TEMPLATE_IDS)
+def test_long_whitespace_runs_take_linear_time_over_z(template):
+    assert _parse_seconds(template.format(RUN), ZZ) < 1.0
