@@ -567,9 +567,9 @@ def cheb_certify(n: int, eval_range: Iterable[int] | None = None) -> ChebCertify
     of p_n) and as polynomials with a multiplication-verified quotient.
 
     The quotient is the one the identity U_{2n-1} = 2 T_n U_{n-1} names,
-    2 * q_n from the pair already built; p_n * (2 * q_n) == q_{2n} is checked
-    by multiplication, so no long division runs. p_n's primitivity is
-    checked once, by _cheb_pair.
+    2 * q_n from the pair already built; p_n * (2 * q_n) == q_{2n} is
+    re-expanded by _identity_holds, as every certified quotient is, so no
+    long division runs. p_n's primitivity is checked once, by _cheb_pair.
     """
     if ZZ.coerce(n) < 1:
         raise ValueError("n must be at least 1")
@@ -580,7 +580,7 @@ def cheb_certify(n: int, eval_range: Iterable[int] | None = None) -> ChebCertify
         eval_range = range(-DEFAULT_WINDOW, DEFAULT_WINDOW + 1)
     evaluation = eval_divisibility(dividend, divisor, eval_range)
     quotient = pair.q * 2
-    if divisor * quotient != dividend:
+    if not _identity_holds(dividend, divisor, quotient):
         raise VerificationError("certified quotient failed re-expansion")
     certificate = DivisibilityCertificate("DIVIDES", quotient, None)
     return ChebCertifyReport(n, evaluation, certificate, evaluation.verdict == "ALL_DIVIDE")

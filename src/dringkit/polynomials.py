@@ -341,102 +341,61 @@ def primitive_part(p: Poly) -> tuple[Element, Poly]:
 def pseudo_divide(f: Poly, g: Poly) -> PseudoDivResult:
     """Fraction-free division of f by g, entirely inside the coefficient ring.
 
-    Knuth's Algorithm R (TAOCP vol. 2, section 4.6.1) on one list u of f's
-    coefficients: with n = deg g and s = max(deg f - n + 1, 0), the step for
-    k = s-1, ..., 0 sets q_k = u_{n+k} * lc(g)**k and then
-    u_j = lc(g)*u_j - u_{n+k}*g_{j-k} for j = k, ..., n+k-1. Algorithm R also
-    multiplies every u_j with j < k by lc(g) at that step; here the factor is
-    deferred and u_k takes all s-1-k of them as one power when it joins the
-    window. Over Z[w] the loop runs on the integer coordinates of u. The
-    identity lc(g)**s * f == g*q + r is re-checked before returning.
+    With n = deg g and s = max(deg f - n + 1, 0), q and r are the quotient and
+    remainder of lc(g)**s * f by g, found by the elimination of exact_divide
+    (TAOCP vol. 2, section 4.6.1). Every step is exact: the step that finds
+    q_k, the coefficient of x**k, meets a list whose entries are all
+    multiples of lc(g)**(k+1), since lc(g)**s * f starts so and each step
+    before it, for j > k, subtracted q_j * x**j * g with q_j a multiple of
+    lc(g)**j. The identity lc(g)**s * f == g*q + r is re-checked before
+    returning, with lc(g)**s * f computed anew.
     """
     f._check_ring(g)
     if not g:
         raise ZeroDivisionError("pseudo-division by the zero polynomial")
     ring = f.ring
     s = max(len(f.coeffs) - g.degree(), 0)
+    multiplier = g.coeffs[-1] ** s
+    scaled = (f * multiplier).coeffs
     if isinstance(ring, QuadRing):
-        multiplier, q, r = _quad_pseudo_divide(f.coeffs, g.coeffs, s, ring)
+        out = _quad_divide(scaled, g.coeffs, ring)
+        if out is not None:
+            q, r_a, r_b = out
+            out = q, [QuadInt(a, b, ring) for a, b in zip(r_a, r_b)]
     else:
-        multiplier, q, r = _int_pseudo_divide(f.coeffs, g.coeffs, s)
-    quotient = Poly._trusted(q, ring)
-    remainder = Poly._trusted(r, ring)
+        out = _int_divide(scaled, g.coeffs)
+    if out is None:
+        raise VerificationError("pseudo-division step was not exact")
+    quotient = Poly._trusted(out[0], ring)
+    remainder = Poly._trusted(out[1], ring)
     if not _identity_holds(f, g, quotient, remainder, multiplier):
         raise VerificationError("pseudo-division identity failed")
     return PseudoDivResult(multiplier, quotient, remainder, s)
 
 
-def _int_pseudo_divide(f: tuple, g: tuple, s: int) -> tuple[int, list, list]:
-    """Algorithm R over Z: the multiplier lc(g)**s, q and r."""
-    n = len(g) - 1
-    lead = g[n]
-    low = g[:n]
-    powers = [1]
-    for _ in range(s):
-        powers.append(powers[-1] * lead)
-    u = list(f)
-    q = [0] * s
-    for k in range(s - 1, -1, -1):
-        u[k] = u[k] * powers[s - 1 - k]
-        c = u[n + k]
-        q[k] = c * powers[k]
-        for j, d in enumerate(low, k):
-            u[j] = lead * u[j] - c * d
-    return powers[s], q, u[:n]
-
-
-def _quad_pseudo_divide(f: tuple, g: tuple, s: int, ring: QuadRing) -> tuple[QuadInt, list, list]:
-    """Algorithm R over Z[w] on the coordinate lists u_a and u_b of u. Each
-    product applies a matrix from ring.matrix to a coordinate pair."""
-    n = len(g) - 1
-    # lc(g) * (x + y*w) = (la*x + lm*y) + (lb*x + lt*y)*w
-    la, lm, lb, lt = ring.matrix(g[n].a, g[n].b)
-    low = [(d.a, d.b) for d in g[:n]]
-    powers = [(1, 0)]
-    for _ in range(s):
-        x, y = powers[-1]
-        powers.append((la * x + lm * y, lb * x + lt * y))
-    u_a = [c.a for c in f]
-    u_b = [c.b for c in f]
-    q = [None] * s
-    for k in range(s - 1, -1, -1):
-        pa, pm, pb, pt = ring.matrix(*powers[s - 1 - k])
-        x, y = u_a[k], u_b[k]
-        u_a[k], u_b[k] = pa * x + pm * y, pb * x + pt * y
-        # c * (da + db*w) = (ca*da + cm*db) + (cb*da + ct*db)*w
-        ca, cm, cb, ct = ring.matrix(u_a[n + k], u_b[n + k])
-        x, y = powers[k]
-        q[k] = QuadInt(ca * x + cm * y, cb * x + ct * y, ring)
-        for j, (da, db) in enumerate(low, k):
-            x, y = u_a[j], u_b[j]
-            u_a[j] = la * x + lm * y - ca * da - cm * db
-            u_b[j] = lb * x + lt * y - cb * da - ct * db
-    r = [QuadInt(a, b, ring) for a, b in zip(u_a[:n], u_b[:n])]
-    return QuadInt(*powers[s], ring), q, r
-
-
 def exact_divide(f: Poly, g: Poly) -> Poly | None:
     """The quotient q with f == g * q when g divides f in R[x], else None.
 
-    Leading-coefficient elimination on one list of f's coefficients, with an
-    exactness check at every step, independently of pseudo_divide so the two
-    can cross-validate. Over Z[w] the list is held as integer coordinates and
-    each leading term is divided by lc(g) through the adjugate and the
-    determinant of lc(g)'s matrix, that is conj(lc g) and N(lc g).
+    The elimination kernel of the ring, which pseudo_divide also runs; g
+    divides f when every step is exact and the remainder is zero.
     """
     f._check_ring(g)
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
     if isinstance(ring, QuadRing):
-        q = _quad_exact_quotient(f.coeffs, g.coeffs, ring)
+        out = _quad_divide(f.coeffs, g.coeffs, ring)
+        exact = out is not None and not (any(out[1]) or any(out[2]))
     else:
-        q = _int_exact_quotient(f.coeffs, g.coeffs)
-    return None if q is None else Poly._trusted(q, ring)
+        out = _int_divide(f.coeffs, g.coeffs)
+        exact = out is not None and not any(out[1])
+    return Poly._trusted(out[0], ring) if exact else None
 
 
-def _int_exact_quotient(f: tuple, g: tuple) -> list | None:
-    """The coefficients of f / g over Z, or None when g does not divide f."""
+def _int_divide(f: tuple, g: tuple) -> tuple[list, list] | None:
+    """Leading-coefficient elimination over Z: the coefficients of the
+    quotient and the remainder of f by g, or None at the first step whose
+    leading term lc(g) does not divide."""
     n = len(g) - 1
     lead = g[n]
     divides = ZZ.divides
@@ -453,13 +412,15 @@ def _int_exact_quotient(f: tuple, g: tuple) -> list | None:
         q[k] = c
         for i, d in terms:
             r[k + i] = r[k + i] - c * d
-    if any(r[:n]):
-        return None
-    return q
+    return q, r[:n]
 
 
-def _quad_exact_quotient(f: tuple, g: tuple, ring: QuadRing) -> list | None:
-    """The coefficients of f / g over Z[w], or None when g does not divide f."""
+def _quad_divide(f: tuple, g: tuple, ring: QuadRing) -> tuple[list, list, list] | None:
+    """Leading-coefficient elimination over Z[w] on the integer coordinates
+    of f: the quotient's coefficients and the remainder's a- and
+    b-coordinates, or None at the first step whose leading term lc(g) does
+    not divide. Each leading term is divided by lc(g) through the adjugate
+    and the determinant of lc(g)'s matrix, that is conj(lc g) and N(lc g)."""
     n = len(g) - 1
     la, lm, lb, lt = ring.matrix(g[n].a, g[n].b)  # multiplication by lc(g)
     norm = la * lt - lm * lb  # N(lc g)
@@ -481,9 +442,7 @@ def _quad_exact_quotient(f: tuple, g: tuple, ring: QuadRing) -> list | None:
         for i, da, db in terms:
             r_a[k + i] -= qa * da + qm * db
             r_b[k + i] -= qb * da + qt * db
-    if any(r_a[:n]) or any(r_b[:n]):
-        return None
-    return q
+    return q, r_a[:n], r_b[:n]
 
 
 def field_divide(f: Poly, g: Poly) -> tuple[Element, Poly] | None:

@@ -209,8 +209,9 @@ class QuadRing(Record):
     w = sqrt(d) when d = 2, 3 (mod 4) and (1 + sqrt(d))/2 when d = 1 (mod 4),
     so w**2 = t*w + n with (t, n) = (0, d) or (1, (d - 1)/4); t and n are set
     once, outside the fields. Elements are a + b*w with integer a, b. Element
-    and polynomial products read t and n only through `matrix`; the one other
-    reader is the inline norm of `_reduction_step`'s box candidates.
+    and polynomial products read t and n only through `matrix`; the other
+    readers are the inline norm of `_reduction_step`'s box candidates and
+    `norms._conjugate_pairs`, which reads t.
     """
 
     __slots__ = ("d", "t", "n")

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from dringkit import (
     NORM_EUCLIDEAN_D,
     Poly,
-    QuadInt,
     QuadRing,
     RingMismatchError,
     VerificationError,
@@ -28,6 +27,7 @@ from dringkit import (
     pseudo_divide,
 )
 from dringkit import polynomials
+from dringkit.cli import main
 from helpers import (
     KERNEL_QUAD_DS,
     RECHECK_QUAD_RINGS,
@@ -251,6 +251,67 @@ def test_kernels_match_the_reference_loops_on_long_inputs():
             assert exact_divide(f * g + Poly.one(ring), g) is None
 
 
+# --- sparse dividends, large leading coefficients --------------------------------
+#
+# One elimination per ring serves both divisions; pseudo_divide runs it on
+# lc(g)^s * f. A sparse c*x^N + e with N up to 600 makes s large and every
+# step's leading term a high power of lc(g); a constant divisor divides every
+# coefficient by lc(g). Checked against Algorithm R (the loop it replaced),
+# the monomial-step oracle and, over Z, sympy's prem.
+
+Q73, Q_5 = QuadRing(73), QuadRing(-5)
+SPARSE_RINGS = (ZZ, QuadRing(-1), Q73, Q_5)
+
+
+def _wide_int(draw):
+    """A nonzero int of 16 to 64 bits, either sign."""
+    bits = draw(st.integers(16, 64))
+    return draw(st.sampled_from((1, -1))) * draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+
+
+@st.composite
+def sparse_pairs(draw):
+    ring = draw(st.sampled_from(SPARSE_RINGS))
+
+    def small():
+        c = draw(st.integers(-50, 50))
+        return c if ring == ZZ else ring.element(c, draw(st.integers(-50, 50)))
+
+    n = draw(st.integers(0, 3))
+    lead = _wide_int(draw) if ring == ZZ else ring.element(_wide_int(draw), _wide_int(draw))
+    g = Poly([small() for _ in range(n)] + [lead], ring)
+    shape = draw(st.sampled_from(("sparse", "zero", "lower")))
+    if shape == "zero" or (shape == "lower" and n == 0):
+        f = Poly.zero(ring)
+    elif shape == "lower":
+        f = Poly([small() for _ in range(draw(st.integers(1, n)))], ring)
+    else:
+        power = draw(st.integers(0, 600))
+        f = Poly.monomial(small() or 1, power, ring) + Poly.constant(small(), ring)
+    return f, g
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=sparse_pairs())
+@example(pair=(Poly.monomial(7, 600, ZZ) + Poly.one(), Poly.constant(2**63 + 1)))
+@example(pair=(Poly.zero(Q_5), Poly.constant(Q_5.element(65537, -3), Q_5)))
+@example(pair=(Poly((1, 2), Q73), Poly((1, 0, 0, Q73.element(2**40, 7)), Q73)))
+def test_sparse_dividends_match_algorithm_r_and_the_oracles(pair):
+    f, g = pair
+    result = pseudo_divide(f, g)
+    assert same_pseudo(result, pseudo_divide_reference(f, g))
+    assert same_pseudo(result, oracle_pseudo_divide(f, g))
+    if f.ring == ZZ:
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        prem = to_sympy(f, sympy, x).prem(to_sympy(g, sympy, x))
+        assert same_poly(result.remainder, from_sympy(prem))
+    quotient, oracle = exact_divide(f, g), oracle_exact_divide(f, g)
+    assert (quotient is None) == (oracle is None)
+    if quotient is not None:
+        assert same_poly(quotient, oracle)
+
+
 # --- inputs the main loops answer without a special case ------------------------
 
 TRIVIAL_RINGS = (ZZ,) + tuple(QuadRing(d) for d in ORACLE_QUAD_DS)
@@ -285,22 +346,35 @@ def test_empty_operands_of_product_and_difference(ring):
 @pytest.mark.parametrize("ring", TRIVIAL_RINGS, ids=str)
 def test_short_pseudo_division_is_re_checked(ring, monkeypatch):
     # Every pseudo-division re-checks lc(g)^s * f == g*q + r, also at s = 0;
-    # a remainder off by one in one coordinate (the w-part over Z[w]) must
-    # surface as VerificationError, not a silent answer.
-    name = "_int_pseudo_divide" if ring == ZZ else "_quad_pseudo_divide"
+    # a remainder off by one in one coordinate (the w-part over Z[w]) from the
+    # elimination kernel must surface as VerificationError, not a silent answer.
+    name = "_int_divide" if ring == ZZ else "_quad_divide"
     divide = getattr(polynomials, name)
 
     def off_by_one(*args):
-        multiplier, q, r = divide(*args)
-        c = r[0]
-        r[0] = c + 1 if ring == ZZ else QuadInt(c.a, c.b + 1, ring)
-        return multiplier, q, r
+        *out, last = divide(*args)
+        last[0] += 1
+        return (*out, last)
 
     monkeypatch.setattr(polynomials, name, off_by_one)
     g = Poly((1, 0, 1), ring)
     for f in (Poly.x(ring), Poly.monomial(3, 3, ring)):  # s = 0, then s = 2
         with pytest.raises(VerificationError, match="pseudo-division identity failed"):
             pseudo_divide(f, g)
+
+
+@pytest.mark.parametrize("ring", TRIVIAL_RINGS, ids=str)
+def test_an_inexact_pseudo_division_step_is_an_error(ring, monkeypatch, capsys):
+    # Every step on lc(g)^s * f is exact; a kernel that reports otherwise
+    # raises VerificationError, with no partial answer, and the CLI exits 2.
+    name = "_int_divide" if ring == ZZ else "_quad_divide"
+    monkeypatch.setattr(polynomials, name, lambda *args: None)
+    with pytest.raises(VerificationError, match="pseudo-division step was not exact"):
+        pseudo_divide(Poly.monomial(3, 3, ring), Poly((1, 0, 2), ring))
+    code = main(["pseudodiv", "3x^3", "2x^2+1", "--ring", str(ring), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: pseudo-division step was not exact\n"
 
 
 # --- the re-checked identity -----------------------------------------------------
