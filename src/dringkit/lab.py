@@ -479,6 +479,7 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
     index from 4, redrawn while out of range. The stream is the one that
     randint(-10**4, 10**4), randint(0, 2) and choice(W_PRIMES_UNDER_100)
     give, so a seed names the same arguments as through those calls.
+    random.Random seeds from |seed|, so -seed draws the trials of seed.
     For the reduced argument a/b the value is (a**2 + b**2)/b**2, built in
     one step from that closed form, and since b is prime to a**2 + b**2,
     a * b**-1 is a square root of -1 modulo the numerator, which certifies

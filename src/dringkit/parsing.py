@@ -107,7 +107,14 @@ def parse_ring(spec: str) -> CoefficientRing:
         return ZZ
     match = _RING_PATTERN.match(text)
     if match:
-        d = int(match.group(1))
+        try:
+            d = int(match.group(1))
+        except ValueError:  # past the interpreter's int(str) digit limit
+            digits = len(match.group(1).lstrip("-"))
+            raise UnsupportedRingError(
+                f"d of {digits} digits is outside the norm-Euclidean whitelist "
+                f"{sorted(NORM_EUCLIDEAN_D)}"
+            ) from None
         if d not in NORM_EUCLIDEAN_D:
             raise UnsupportedRingError(
                 f"d = {d} is outside the norm-Euclidean whitelist "

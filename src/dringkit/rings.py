@@ -1,4 +1,5 @@
-"""Exact arithmetic in Z, quadratic integer rings Z[w], and the localization Z[W].
+"""Exact arithmetic in Z and quadratic integer rings Z[w], and membership in
+the localization Z[W].
 
 Everything here is built on Python's arbitrary-precision integers; no value
 ever passes through floating point. Division-like operations are exactness
@@ -343,12 +344,13 @@ class QuadInt(Record):
             raise ValueError("negative powers leave the ring")
         result = self.ring.one
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base  # not after the last bit: no product reads it
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
@@ -506,11 +508,6 @@ class WRational(Record):
 
     Construction normalizes the sign into the numerator, divides out the gcd,
     and trial-divides the reduced denominator to validate membership.
-
-    Arithmetic does not re-check: the denominator of a sum, difference or
-    product divides the product of two valid denominators, so every prime
-    factor of it is already 2 or 1 mod 4. Results, and an int operand as n/1,
-    are built by _trusted, which reduces and caps but does not trial-divide.
     """
 
     __slots__ = ("num", "den")
@@ -545,44 +542,6 @@ class WRational(Record):
         object.__setattr__(x, "num", num)
         object.__setattr__(x, "den", den)
         return x
-
-    def _coerce(self, other):
-        if isinstance(other, WRational):
-            return other
-        if isinstance(other, int):
-            return WRational._trusted(int(other), 1)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return WRational._trusted(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return WRational._trusted(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return WRational._trusted(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return WRational._trusted(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return self.num != 0
 
     def __str__(self) -> str:
         return f"{_decimal(self.num)}/{_decimal(self.den)}"

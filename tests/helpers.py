@@ -8,6 +8,7 @@ every run sees the same instances.
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from dringkit import (
@@ -27,7 +28,6 @@ from dringkit import (
     RingMismatchError,
     UnsupportedRingError,
     VerificationError,
-    WRational,
     ZeroInputError,
     ZZ,
     conjugate_poly,
@@ -262,11 +262,13 @@ def wrational_reference(num, den) -> tuple[int, int]:
 
 
 # The per-trial loop of lab.zw_unit_demo before it built each value from the
-# closed form (a^2 + b^2)/b^2: the value came from WRational arithmetic.
+# closed form (a^2 + b^2)/b^2, which squared the argument and added 1, here
+# in fractions.Fraction rather than the library's own types.
 
 
 def zw_values_reference(trials: int, seed: int) -> list[str]:
-    """str of each value x**2 + 1 that zw_unit_demo(trials, seed) certifies."""
+    """str of each value x**2 + 1 that zw_unit_demo(trials, seed) certifies,
+    written num/den as WRational prints it (den 1 included)."""
     rng = random.Random(seed)
     values = []
     for _ in range(trials):
@@ -274,9 +276,8 @@ def zw_values_reference(trials: int, seed: int) -> list[str]:
         b = math.prod(
             rng.choice(W_PRIMES_UNDER_100) for _ in range(rng.randint(0, 2))
         )
-        argument = WRational(a, b)
-        value = argument * argument + 1
-        values.append(str(value))
+        value = Fraction(a, b) ** 2 + 1
+        values.append(f"{value.numerator}/{value.denominator}")
     return values
 
 

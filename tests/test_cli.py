@@ -2,6 +2,7 @@
 
 import ast
 import glob
+import hashlib
 import json
 import os
 import re
@@ -504,6 +505,13 @@ def test_non_ascii_digits_are_diagnosed_with_their_position(capsys):
     assert err == "error: unexpected character '²' (at position 1)\n"
 
 
+def test_a_ring_d_past_the_int_digit_limit_is_a_ring_error(capsys):
+    code, out, err = run(capsys, "divides", "x", "x", "--ring", f"Q(sqrt {'9' * 5000})")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: d of 5000 digits is outside the norm-Euclidean whitelist [")
+    assert err.count("\n") == 1
+
+
 def module_env() -> dict:
     """The environment for `python -m dringkit.cli` on this checkout."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -689,3 +697,97 @@ def test_top_level_help_names_every_subcommand(capsys):
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
     assert set(PARSED) <= set(re.findall(r"^ {4}(\w+)", out, re.MULTILINE))
+
+
+# --- the console commands ----------------------------------------------------
+#
+# Each row runs in a fresh `python -m dringkit.cli` process, as from a shell:
+# its argv, its exit code and the first 16 hex digits of the SHA-256 of its
+# stdout followed by its stderr. A --help row pins no digest, since argparse
+# lays out help differently across Python versions. The id names the path a
+# row reaches. `cheb --n 1000 --json | head -c 10`, which must exit 2 with one
+# line, is test_a_closed_stdout_exits_two_with_one_line above. CI runs the
+# installed `dringkit` entry point on the first row and on --help.
+
+Q73, Q5 = "Q(sqrt 73)", "Q(sqrt 5)"
+WIDEST = ["--from", "-1000", "--to", "1000"]
+
+CONSOLE_COMMANDS = [
+    pytest.param(["divides", "x^2-1", "x-1", "--json"], 0, "33cd05c08e1c3062",
+                 id="divides-z-certified-quotient"),
+    pytest.param(["pseudodiv", "x", "x^2+1", "--json"], 0, "287299c12e27ea5e",
+                 id="pseudodiv-z-lower-degree-dividend"),
+    pytest.param(["divides", "0", "x^2+1", "--json"], 0, "7bf69033c17d9aea",
+                 id="divides-z-zero-dividend"),
+    pytest.param(["pseudodiv", "[1+1w]x", "x^2+[2]", "--ring", GAUSS, "--json"], 0,
+                 "e7ffa30179ced941", id="pseudodiv-gauss-lower-degree-dividend"),
+    pytest.param(["pseudodiv", "[3+1w]x^5 + [2-1w]x + [1]", "[2+1w]x^2 + [1]", "--ring", Q73,
+                  "--json"], 0, "494af261ec6b59ef", id="pseudodiv-q73-t1-s4-coordinate-kernel"),
+    pytest.param(["pseudodiv", "x^1000+1", "65521x^2+x+1", "--json"], 0, "69f9b9a028eb90b4",
+                 id="pseudodiv-z-sparse-s999-elimination"),
+    pytest.param(["pseudodiv", "[3+1w]x^3 + x + [2]", "[2+1w]", "--ring", GAUSS, "--json"], 0,
+                 "247c7552f84a013e", id="pseudodiv-gauss-constant-non-unit-s4"),
+    pytest.param(["divides", "-[30+3w]x^3 - [13-3w]x^2 + [22+1w]x + [1+1w]",
+                  "[2+1w]x^2 + [1+1w]x + [1]", "--ring", Q73, "--json"], 0, "319b431f74ac8ad0",
+                 id="divides-q73-non-unit-leading-coefficient"),
+    pytest.param(["divides", "x^3 + [1+1w]x + [2]", "x^2 + [1]", "--ring", Q5, "--json"], 1,
+                 "81713ad4e7c7edf7", id="divides-q5-inexact-division-witness"),
+    pytest.param(["cheb", "--n", "0", "--json"], 0, "77ba3dbc1cb9ab41",
+                 id="cheb-smallest-pair"),
+    pytest.param(["cheb", "--n", "1000", "--certify", "--json"], 0, "ea6d04079545fdac",
+                 id="cheb-largest-pair-certified-default-window"),
+    pytest.param(["cheb", "--n", "1000", "--certify", *WIDEST, "--json"], 0, "c7f6f36e16e0a6a5",
+                 id="cheb-largest-pair-certified-widest-window"),
+    pytest.param(["evalcheck", "x^3 + x", "x", "--from", "-3", "--to", "7", "--json"], 0,
+                 "8d80197e46e178a6", id="evalcheck-z-window-partly-paired"),
+    pytest.param(["evalcheck", "[1+1w]x^3 + x", "x", "--ring", Q5, "--from", "-3", "--to", "7",
+                  "--json"], 0, "bf1fe14728ee45ed", id="evalcheck-q5-window-partly-paired"),
+    pytest.param(["transfer", "x^2 + [1+1w]x + [2]", "x + [1]", "--ring", GAUSS, "--json"], 0,
+                 "b90a3ac07aae5095", id="transfer-gauss"),
+    pytest.param(["transfer", "[2+1w]x^2 + [3]", "x + [1+1w]", "--ring", Q73, *WIDEST, "--json"],
+                 0, "40f7977c2ffb9ded", id="transfer-q73-t1-widest-window"),
+    pytest.param(["normpoly", "x - [0+1w]", "--ring", GAUSS, "--json"], 0, "9b40583773053d18",
+                 id="normpoly-gauss"),
+    pytest.param(["normpoly", "[2+1w]x^2 + [3-1w]x + [1]", "--ring", Q5, "--json"], 0,
+                 "97cb85a60374aacb", id="normpoly-q5-t1"),
+    pytest.param(["content", "[296727691650+732207385456w]x + [-341487525608-595848167312w]",
+                  "--ring", "Q(sqrt 19)", "--json"], 0, "a67aead077efa88c",
+                 id="content-q19-gcd-box-past-radius-64"),
+    pytest.param(["content", "[-320874+987817w]x + [-683647-171996w]", "--ring", Q73, "--json"],
+                 0, "883b7931c503f30c", id="content-q73-t1-gcd-box-search"),
+    pytest.param(["sf", "3*x^6 - 7*x^5 + x^3 + 11*x - 5", "--limit", "20000", "--json"], 0,
+                 "cec868dc9d905616", id="sf-gcd-scan-then-fp-roots"),
+    pytest.param(["sf", "x - 40", "--limit", "16384", "--json"], 0, "17c3e2b9ed4d10eb",
+                 id="sf-integer-root-hits-every-pending-prime"),
+    pytest.param(["sf", "1000000000000000000000000000000000000007*x^3 + 1", "--limit", "16384",
+                  "--json"], 0, "178a60634a424e73", id="sf-run-cut-by-its-length-bound"),
+    pytest.param(["zwdemo", "--trials", "1", "--seed", "0", "--json"], 0, "313a2a8c36667aa9",
+                 id="zwdemo-one-trial"),
+    pytest.param(["zwdemo", "--trials", "2000", "--seed", "1", "--json"], 0, "f9cbee87ba7cd64a",
+                 id="zwdemo-2000-trials"),
+    # the trials repeat seed 1's (see the test_w_membership test on -seed)
+    pytest.param(["zwdemo", "--trials", "2000", "--seed", "-1", "--json"], 0, "08e66fe9f7a41fbf",
+                 id="zwdemo-negative-seed-accepted"),
+    pytest.param(["zwdemo", "--trials", "500000", "--seed", "7", "--json"], 0, "d72af594ab2ef2ad",
+                 id="zwdemo-trials-at-the-cap"),
+    pytest.param(["divides", "x+1", "x", "--bound", "-1"], 2, "de42c975415178db",
+                 id="divides-negative-bound-refused"),
+    pytest.param(["divides", "x^2+3", "x+2", "--json"], 1, "7a766d70c7dd3fb1",
+                 id="divides-refuted-at-k0-by-constant-terms"),
+    pytest.param(["divides", "[1+2]x", "x", "--ring", GAUSS], 2, "eb61c9b5fcab951d",
+                 id="divides-bracket-refused-expected-w"),
+    pytest.param(["--help"], 0, None, id="help"),
+    *(pytest.param([command, "--help"], 0, None, id=f"help-{command}") for command in HELP_OPTIONS),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CONSOLE_COMMANDS)
+def test_console_command(argv, code, digest):
+    proc = subprocess.run([sys.executable, "-m", "dringkit.cli", *argv],
+                          capture_output=True, text=True, env=module_env())
+    assert proc.returncode == code, proc.stderr
+    if digest is None:
+        assert proc.stdout.startswith("usage: dringkit") and proc.stderr == ""
+    else:
+        output = proc.stdout + proc.stderr
+        assert hashlib.sha256(output.encode()).hexdigest()[:16] == digest, output[:200]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dringkit import (
+    NORM_EUCLIDEAN_D,
     Poly,
     PolyParseError,
     QuadInt,
@@ -47,6 +48,21 @@ def test_parse_ring_rejects_everything_else():
         parse_ring("GF(7)")
     with pytest.raises(UnsupportedRingError):
         parse_ring("Q(sqrt -١)")  # ASCII digits only
+
+
+@pytest.mark.parametrize("digits", [4_300, 4_301, 5_000])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_parse_ring_refuses_a_d_past_the_int_digit_limit(digits, sign):
+    # int() converts at most 4,300 digits; a longer d is refused by its
+    # length, not with the interpreter's own message.
+    whitelist = str(sorted(NORM_EUCLIDEAN_D))
+    if digits <= MAX_LITERAL_DIGITS:
+        expected = f"d = {sign}{'9' * digits} is outside the norm-Euclidean whitelist {whitelist}"
+    else:
+        expected = f"d of {digits} digits is outside the norm-Euclidean whitelist {whitelist}"
+    with pytest.raises(UnsupportedRingError) as raised:
+        parse_ring(f"Q(sqrt {sign}{'9' * digits})")
+    assert str(raised.value) == expected
 
 
 # --- basic grammar ----------------------------------------------------------

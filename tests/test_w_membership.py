@@ -6,17 +6,17 @@ and is_squarefree.
 is `factorize` and `is_squarefree`. The 6k±1 wheel that `factorize` used
 before, kept as `helpers.factorize_reference`, is the first oracle of all
 three; sympy's `factorint` is the second. The membership check is in turn the
-oracle of the two paths that skip it: the values of `zw_unit_demo`, each
-proved a unit by a square root of -1, and `WRational` arithmetic, which
-builds its results without re-checking their denominators.
+oracle of the path that skips it: the values of `zw_unit_demo`, each built
+by `WRational._trusted` and proved a unit by a square root of -1.
 
 The `WRational` constructor is compared with its former body, kept as
 `helpers.wrational_reference`. The values `zw_unit_demo` builds from the
 closed form (a^2 + b^2)/b^2 are compared with its former loop, which squared
-the argument and added 1 by `WRational` arithmetic, kept as
+the argument and added 1, kept in `fractions.Fraction` as
 `helpers.zw_values_reference`. The arguments it draws from `getrandbits`,
 and the root of -1 that certifies each value, are compared with draws made by
-`Random.randint` and `Random.choice`, in `helpers.zw_trials_reference`.
+`Random.randint` and `Random.choice`, in `helpers.zw_trials_reference`; a
+negative seed draws the trials of its absolute value.
 """
 
 import hashlib
@@ -165,25 +165,28 @@ def test_zw_unit_demo_matches_the_factorize_implementation(seed, monkeypatch):
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest()[:16] == DEMO_GOLDEN[seed]
 
 
-def recorded_demo_values(trials, seed, monkeypatch):
-    """str of each value zw_unit_demo(trials, seed) hands to _certifies_unit."""
+def recorded_trials(trials, seed):
+    """(str(value), root) of each trial zw_unit_demo(trials, seed) hands to
+    _certifies_unit."""
     original = lab._certifies_unit
     seen = []
 
     def recording(value, root):
-        seen.append(str(value))
+        seen.append((str(value), root))
         return original(value, root)
 
-    monkeypatch.setattr(lab, "_certifies_unit", recording)
-    zw_unit_demo(trials, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lab, "_certifies_unit", recording)
+        zw_unit_demo(trials, seed)
     return seen
 
 
 @pytest.mark.parametrize("seed", [0, 3, 99, 2**31 - 1])
-def test_zw_unit_demo_values_match_the_arithmetic_loop(seed, monkeypatch):
+def test_zw_unit_demo_values_match_the_arithmetic_loop(seed):
     # Seeds outside DEMO_GOLDEN: the closed form against x * x + 1.
     assert seed not in DEMO_GOLDEN
-    assert recorded_demo_values(3000, seed, monkeypatch) == zw_values_reference(3000, seed)
+    values = [value for value, _ in recorded_trials(3000, seed)]
+    assert values == zw_values_reference(3000, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,17 +198,13 @@ def test_zw_unit_demo_values_match_the_arithmetic_loop(seed, monkeypatch):
 def test_zw_unit_demo_draws_the_randint_and_choice_arguments(seed, trials):
     # The value is even in the argument's numerator, so only the root sees
     # its sign: both are compared with draws made by randint and choice.
-    original = lab._certifies_unit
-    seen = []
+    assert recorded_trials(trials, seed) == zw_trials_reference(trials, seed)
 
-    def recording(value, root):
-        seen.append((str(value), root))
-        return original(value, root)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lab, "_certifies_unit", recording)
-        zw_unit_demo(trials, seed)
-    assert seen == zw_trials_reference(trials, seed)
+@pytest.mark.parametrize("seed", [1, 7, 1729, 2**64 + 1])
+def test_a_negative_seed_repeats_the_trials_of_its_absolute_value(seed):
+    # random.Random seeds from |seed|, so -seed draws the same arguments.
+    assert recorded_trials(500, -seed) == recorded_trials(500, seed)
 
 
 def test_zw_unit_demo_validates_and_certifies_every_trial(monkeypatch):
@@ -245,50 +244,7 @@ def test_unit_verdict_matches_trial_division(a, b):
     u = a * pow(b, -1, n)
     assert (u * u + 1) % m == 0
     assert _first_non_w_prime(m) is None
-    argument = WRational(a, b)
-    assert lab._certifies_unit(argument * argument + 1, u)
-
-
-w_denominators = st.lists(st.sampled_from((2, 5, 13, 17, 29, 37, 41)), max_size=5).map(math.prod)
-w_rationals = st.builds(WRational, st.integers(min_value=-10**6, max_value=10**6), w_denominators)
-
-
-def outcome(compute):
-    """(num, den) of the result, or the type and message of what it raised."""
-    try:
-        x = compute()
-    except (ValueError, DenominatorNotInW) as exc:
-        return type(exc), str(exc)
-    assert type(x.num) is int and type(x.den) is int
-    return x.num, x.den
-
-
-@settings(max_examples=300, deadline=None)
-@given(x=w_rationals, y=w_rationals)
-def test_arithmetic_matches_the_validating_constructor(x, y):
-    cases = [
-        (lambda: x * y, (x.num * y.num, x.den * y.den)),
-        (lambda: x + y, (x.num * y.den + y.num * x.den, x.den * y.den)),
-        (lambda: x - y, (x.num * y.den - y.num * x.den, x.den * y.den)),
-        (lambda: -x, (-x.num, x.den)),
-    ]
-    for compute, (num, den) in cases:
-        assert outcome(compute) == outcome(lambda: WRational(num, den))
-
-
-@settings(max_examples=300, deadline=None)
-@given(x=w_rationals, n=st.integers(min_value=-10**6, max_value=10**6) | st.booleans())
-def test_int_operands_match_the_validating_constructor(x, n):
-    # An int operand enters as n/1 through WRational._trusted, which does not
-    # trial-divide; the constructor is the oracle.
-    cases = [
-        (lambda: x + n, (x.num + n * x.den, x.den)),
-        (lambda: x - n, (x.num - n * x.den, x.den)),
-        (lambda: n - x, (n * x.den - x.num, x.den)),
-        (lambda: n * x, (n * x.num, x.den)),
-    ]
-    for compute, (num, den) in cases:
-        assert outcome(compute) == outcome(lambda: WRational(num, den))
+    assert lab._certifies_unit(WRational(a * a + b * b, b * b), u)
 
 
 constructor_ints = st.one_of(
@@ -340,33 +296,3 @@ def test_the_constructor_checks_the_cap_before_the_denominator():
         WRational(1, 3 * 5**17)
     with pytest.raises(DenominatorNotInW, match="prime 3 divides"):
         WRational(2, -6 * 5)
-
-
-def test_arithmetic_past_the_denominator_cap_raises():
-    message = f"reduced denominator exceeds {CAP}"
-    for compute in (
-        lambda: WRational(1, 5**17) * WRational(1, 5),
-        lambda: WRational(1, 2**39) + WRational(1, 5**17),
-        lambda: WRational(1, 2**39) - WRational(3, 5**17),
-    ):
-        with pytest.raises(ValueError, match=message):
-            compute()
-
-
-def test_arithmetic_does_not_trial_divide(monkeypatch):
-    x, y = WRational(-7, 2 * 5 * 13), WRational(3, 17**2)
-
-    def no_trial_division(n):
-        raise AssertionError(f"trial division of {n} in arithmetic")
-
-    monkeypatch.setattr(rings, "_first_non_w_prime", no_trial_division)
-    assert str(x * y) == "-21/37570"
-    assert str(x + y) == "-1633/37570"
-    assert str(x - y) == "-2413/37570"
-    assert str(-x) == "7/130"
-    assert str(x * x - x * x) == "0/1"
-    assert str(x + 3) == "383/130"
-    assert str(x - 3) == "-397/130"
-    assert str(3 - x) == "397/130"
-    assert str(-2 * x) == "7/65"
-    assert str(True * y) == "3/289"
