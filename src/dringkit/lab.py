@@ -84,7 +84,7 @@ def eval_divisibility(f: Poly, g: Poly, samples: Iterable) -> EvalDivReport:
             continue
         fval = fvals[k]
         if f.ring.divides(gval, fval) is None:
-            failures.append((k, gval, fval))
+            failures.append((int(k) if isinstance(k, int) else k, gval, fval))
     verdict = "ALL_DIVIDE" if not failures else "FAILED"
     return EvalDivReport(len(points), vacuous, tuple(failures), verdict)
 
@@ -443,28 +443,27 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 class ZWUnitReport(Record):
-    """Outcome of evaluating x**2 + 1 at seeded random points of Z[W].
-
-    certified counts the values proved units by a square root of -1; it is
-    always trials, since a value that is not certified raises instead.
+    """Outcome of evaluating x**2 + 1 at seeded random points of Z[W]: the
+    number of trials and the seed. Every value was proved a unit, since one
+    that is not certified raises instead. passes (trials) and all_units
+    (True) remain for the benchmark's worker and checker, which read them.
     """
 
-    __slots__ = ("trials", "seed", "certified")
+    __slots__ = ("trials", "seed")
 
     @property
     def passes(self) -> int:
-        return self.certified
+        return self.trials
 
     @property
     def all_units(self) -> bool:
-        return self.certified == self.trials
+        return True
 
 
-def _certifies_unit(value: WRational, root: int) -> bool:
-    """Whether root**2 = -1 modulo value's positive numerator n, which proves
-    value a unit of Z[W]: -1 is then a square modulo every odd prime p | n,
-    so p = 1 mod 4 by Euler's criterion, and 2 is a W prime."""
-    n = value.num
+def _certifies_unit(n: int, root: int) -> bool:
+    """Whether root**2 = -1 modulo n >= 1, which proves every element of Z[W]
+    with numerator n a unit: -1 is then a square modulo every odd prime
+    p | n, so p = 1 mod 4 by Euler's criterion, and 2 is a W prime."""
     return pow(root, 2, n) == n - 1
 
 
@@ -480,9 +479,9 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
     randint(-10**4, 10**4), randint(0, 2) and choice(W_PRIMES_UNDER_100)
     give, so a seed names the same arguments as through those calls.
     random.Random seeds from |seed|, so -seed draws the trials of seed.
-    For the reduced argument a/b the value is (a**2 + b**2)/b**2, built in
-    one step from that closed form, and since b is prime to a**2 + b**2,
-    a * b**-1 is a square root of -1 modulo the numerator, which certifies
+    For the reduced argument a/b the value is n/b**2 with n = a**2 + b**2,
+    in lowest terms since b is prime to n, and only n needs a proof (b was
+    validated): a * b**-1 is a square root of -1 modulo n, which certifies
     the value (see _certifies_unit). A value it fails to certify would be an
     arithmetic bug and raises VerificationError.
     """
@@ -507,11 +506,11 @@ def zw_unit_demo(trials: int, seed: int = DEFAULT_DEMO_SEED) -> ZWUnitReport:
             b *= primes[i]
         argument = WRational(a - 10_000, b)
         a, b = argument.num, argument.den
-        value = WRational._trusted(a * a + b * b, b * b)
-        root = a * pow(b, -1, value.num)
-        if not _certifies_unit(value, root):
-            raise VerificationError(f"({argument})^2 + 1 = {value} was not certified a unit")
-    return ZWUnitReport(trials, seed, trials)
+        n = a * a + b * b
+        root = a * pow(b, -1, n)
+        if not _certifies_unit(n, root):
+            raise VerificationError(f"({argument})^2 + 1 = {n}/{b * b} was not certified a unit")
+    return ZWUnitReport(trials, seed)
 
 
 class ChebPair(Record):
@@ -572,7 +571,8 @@ def cheb_certify(n: int, eval_range: Iterable[int] | None = None) -> ChebCertify
     re-expanded by _identity_holds, as every certified quotient is, so no
     long division runs. p_n's primitivity is checked once, by _cheb_pair.
     """
-    if ZZ.coerce(n) < 1:
+    n = ZZ.coerce(n)
+    if n < 1:
         raise ValueError("n must be at least 1")
     pair = _cheb_pair(n)
     divisor = pair.p

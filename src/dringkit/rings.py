@@ -426,7 +426,9 @@ def _round_half_to_zero(num: int, den: int) -> int:
 
 def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> tuple[int, int]:
     """One division step on coordinate pairs (a, b) standing for a + b*w:
-    a remainder r = x - q*y with |norm(r)| < |norm(y)|."""
+    a remainder r = x - q*y with 171*|norm(r)| <= 170*|norm(y)|, or, when no
+    quotient within 64 lattice steps of the rounded one gives that, with
+    |norm(r)| < |norm(y)|."""
     t, n = ring.t, ring.n  # for the inline norm form of the candidates
     xa, xb = x
     ya, ym, yb, yt = ring.matrix(*y)  # multiplication by y
@@ -437,20 +439,24 @@ def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> t
     ra = xa - ya * qa - ym * qb  # r = x - y*q
     rb = xb - yb * qa - yt * qb
     bound = abs(norm)
-    if abs(ra * ra + t * ra * rb - n * rb * rb) < bound:
+    # A step must cut the norm to 170/171 or less, so a descent ends within
+    # about 171*ln|norm| steps; any decrease alone let real-field descents
+    # run for millions. 170/171 is the Euclidean minimum of Q(sqrt 19), the
+    # largest on the whitelist in Lemmermeyer's table (Expo. Math. 1995).
+    limit = 170 * bound // 171 + 1  # |N| < limit iff 171*|N| <= 170*bound
+    if abs(ra * ra + t * ra * rb - n * rb * rb) < limit:
         return ra, rb
     # Coordinatewise nearest rounding is not norm-decreasing for every
     # whitelisted d: in the real fields the |norm| < 1 region is hyperbolic,
     # so the good quotient can sit many lattice steps away. Double the box
-    # until it holds one (on the whitelist some quotient always shrinks the
-    # norm) and keep its first remainder of least norm. The candidate
-    # x - (q + da + db*w)*y is r - da*y - db*(y*w), the matrix's columns.
-    # Each box skips the one before it, already found empty; the first skips
-    # only r itself.
+    # until it holds one and keep its first remainder of least norm. The
+    # candidate x - (q + da + db*w)*y is r - da*y - db*(y*w), the matrix's
+    # columns. Each box skips the one before it, already found empty; the
+    # first skips only r itself.
     radius, inner = 1, 0
     while True:
         best = None
-        best_norm = bound
+        best_norm = limit
         row = range(-radius, radius + 1)
         outer_row = [*range(-radius, -inner), *range(inner + 1, radius + 1)]
         for da in row:
@@ -463,6 +469,10 @@ def _reduction_step(x: tuple[int, int], y: tuple[int, int], ring: QuadRing) -> t
         if best is not None:
             return best
         radius, inner = 2 * radius, radius
+        if radius == 128:
+            # Past 64, any decrease, which the whitelist guarantees; the boxes
+            # found empty only under the 170/171 cut are searched again.
+            limit, inner = bound, 0
 
 
 def quad_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
@@ -492,22 +502,12 @@ def quad_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
     return QuadInt(u[0], u[1], ring)
 
 
-def _reduce(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms as plain ints, for den > 0; the one place a
-    WRational is reduced and its denominator capped."""
-    g = math.gcd(num, den)  # a TypeError for a float
-    num //= g  # a plain int also for a bool
-    den //= g
-    if den > _TRIAL_DIVISION_CAP:
-        raise ValueError(f"reduced denominator exceeds {_TRIAL_DIVISION_CAP}")
-    return num, den
-
-
 class WRational(Record):
     """Reduced fraction whose denominator factors over {2} and primes = 1 mod 4.
 
     Construction normalizes the sign into the numerator, divides out the gcd,
-    and trial-divides the reduced denominator to validate membership.
+    caps the reduced denominator at 10**12 and trial-divides it to validate
+    membership. zw_unit_demo builds one per trial, for the argument.
     """
 
     __slots__ = ("num", "den")
@@ -524,24 +524,16 @@ class WRational(Record):
             raise ZeroDivisionError("denominator must be nonzero")
         if den < 0:
             num, den = -num, -den
-        num, den = _reduce(num, den)
+        g = math.gcd(num, den)  # a TypeError for a float
+        num //= g  # a plain int also for a bool
+        den //= g
+        if den > _TRIAL_DIVISION_CAP:
+            raise ValueError(f"reduced denominator exceeds {_TRIAL_DIVISION_CAP}")
         p = _first_non_w_prime(den)
         if p is not None:
             raise DenominatorNotInW(f"prime {p} divides the denominator but is 3 mod 4")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _trusted(cls, num: int, den: int) -> "WRational":
-        """num/den in lowest terms, for num and den > 0, reduced and capped
-        by _reduce. Nothing is trial-divided: the constructor's trial division
-        vouches for denominators from outside.
-        """
-        num, den = _reduce(num, den)
-        x = object.__new__(cls)
-        object.__setattr__(x, "num", num)
-        object.__setattr__(x, "den", den)
-        return x
 
     def __str__(self) -> str:
         return f"{_decimal(self.num)}/{_decimal(self.den)}"

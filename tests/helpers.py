@@ -239,9 +239,9 @@ def factorize_reference(n: int) -> dict[int, int]:
     return out
 
 
-# The WRational constructor as it was before it shared rings._reduce with
-# _trusted: it built a temporary through _trusted, whose reduction and cap are
-# inlined here, and read the reduced pair back from it.
+# The WRational constructor as it was when it built a temporary through a
+# second, unchecked constructor, whose reduction and cap are inlined here,
+# and read the reduced pair back from it.
 
 
 def wrational_reference(num, den) -> tuple[int, int]:
@@ -261,14 +261,14 @@ def wrational_reference(num, den) -> tuple[int, int]:
     return num, den
 
 
-# The per-trial loop of lab.zw_unit_demo before it built each value from the
-# closed form (a^2 + b^2)/b^2, which squared the argument and added 1, here
-# in fractions.Fraction rather than the library's own types.
+# The per-trial loop of lab.zw_unit_demo before it worked from the closed
+# form (a^2 + b^2)/b^2, which squared the argument and added 1, here in
+# fractions.Fraction rather than the library's own types.
 
 
 def zw_values_reference(trials: int, seed: int) -> list[str]:
     """str of each value x**2 + 1 that zw_unit_demo(trials, seed) certifies,
-    written num/den as WRational prints it (den 1 included)."""
+    written num/den in lowest terms (den 1 included)."""
     rng = random.Random(seed)
     values = []
     for _ in range(trials):
@@ -282,13 +282,14 @@ def zw_values_reference(trials: int, seed: int) -> list[str]:
 
 
 # The draws of lab.zw_unit_demo as Random.randint and Random.choice make them,
-# with each argument reduced by gcd and its value and root written out.
+# with each argument reduced by gcd and its numerator, root and value written
+# out.
 
 
-def zw_trials_reference(trials: int, seed: int) -> list[tuple[str, int]]:
-    """(str(value), root) of each trial that zw_unit_demo(trials, seed)
-    certifies: for the reduced argument a/b, the value (a^2 + b^2)/b^2 and
-    root = a * b^-1 mod n, with n = a^2 + b^2."""
+def zw_trials_reference(trials: int, seed: int) -> list[tuple[int, int, str]]:
+    """(n, root, value) of each trial that zw_unit_demo(trials, seed)
+    certifies: for the reduced argument a/b, n = a^2 + b^2, root = a * b^-1
+    mod n, and the value (a^2 + b^2)/b^2 written n/b^2."""
     rng = random.Random(seed)
     trials_seen = []
     for _ in range(trials):
@@ -299,7 +300,7 @@ def zw_trials_reference(trials: int, seed: int) -> list[tuple[str, int]]:
         g = math.gcd(a, b)
         a, b = a // g, b // g
         n = a * a + b * b
-        trials_seen.append((f"{n}/{b * b}", a * pow(b, -1, n)))
+        trials_seen.append((n, a * pow(b, -1, n), f"{n}/{b * b}"))
     return trials_seen
 
 
@@ -593,23 +594,29 @@ def pair_product_reference(a: int, b: int, c: int, e: int, t: int, m: int) -> tu
 
 
 def reduction_step_reference(x: QuadInt, y: QuadInt) -> QuadInt:
-    """One division step: a remainder r = x - q*y with |norm(r)| < |norm(y)|."""
+    """One division step: a remainder r = x - q*y with 171*|norm(r)| <=
+    170*|norm(y)|, or with |norm(r)| < |norm(y)| once the boxes around the
+    rounded quotient hold no such r up to radius 64. Every box is searched
+    whole, and the first remainder of least norm that qualifies is kept."""
     n = y.norm()
     num = x * y.conjugate()
     q = QuadInt(_round_half_to_zero(num.a, n), _round_half_to_zero(num.b, n), x.ring)
     r = x - q * y
     bound = abs(n)
-    if abs(r.norm()) < bound:
+    if 171 * abs(r.norm()) <= 170 * bound:
         return r
     radius = 1
     while True:
         best = None
-        best_norm = bound
         for da in range(-radius, radius + 1):
             for db in range(-radius, radius + 1):
                 cand = x - (q + QuadInt(da, db, x.ring)) * y
                 cand_norm = abs(cand.norm())
-                if cand_norm < best_norm:
+                if radius <= 64:
+                    qualifies = 171 * cand_norm <= 170 * bound
+                else:
+                    qualifies = cand_norm < bound
+                if qualifies and (best is None or cand_norm < best_norm):
                     best, best_norm = cand, cand_norm
         if best is not None:
             return best

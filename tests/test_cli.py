@@ -755,6 +755,11 @@ CONSOLE_COMMANDS = [
                  id="content-q19-gcd-box-past-radius-64"),
     pytest.param(["content", "[-320874+987817w]x + [-683647-171996w]", "--ring", Q73, "--json"],
                  0, "883b7931c503f30c", id="content-q73-t1-gcd-box-search"),
+    # each step of its gcd must cut the norm to 170/171: any decrease alone
+    # ran for millions of steps here
+    pytest.param(["content", "[17179869006+17179869006w]x + [1+17179869006w]", "--ring",
+                  "Q(sqrt 17)", "--json"], 0, "23f56e74fa6ea058",
+                 id="content-q17-gcd-descent-with-norm-drop"),
     pytest.param(["sf", "3*x^6 - 7*x^5 + x^3 + 11*x - 5", "--limit", "20000", "--json"], 0,
                  "cec868dc9d905616", id="sf-gcd-scan-then-fp-roots"),
     pytest.param(["sf", "x - 40", "--limit", "16384", "--json"], 0, "17c3e2b9ed4d10eb",

@@ -339,6 +339,25 @@ def test_zw_unit_demo_stores_plain_ints():
     assert report == zw_unit_demo(1, 1)
 
 
+def test_cheb_certify_stores_plain_ints():
+    report = cheb_certify(True)
+    assert type(report.n) is int
+    assert report == cheb_certify(1)
+
+
+def test_eval_divisibility_stores_plain_int_points():
+    f, g = Poly((1, 1, 1)), Poly((1, 1))
+    report = eval_divisibility(f, g, [True, 2])
+    assert report.failures == ((1, 2, 3), (2, 3, 7))
+    assert [type(k) for k, _, _ in report.failures] == [int, int]
+    assert report == eval_divisibility(f, g, [1, 2])
+    # over Z[w] an int point stays an int, and an element stays an element
+    ring = QuadRing(-1)
+    i = ring.element(0, 1)
+    report = eval_divisibility(Poly((1, 1, 1), ring), Poly((1, 1), ring), [True, i])
+    assert [type(k) for k, _, _ in report.failures] == [int, type(i)]
+
+
 def test_zw_unit_demo_refuses_a_float_seed():
     with pytest.raises(TypeError, match="exact integer required, got float"):
         zw_unit_demo(3, seed=1.5)

@@ -1,5 +1,6 @@
 """Quadratic integer arithmetic and the Z[W] localization."""
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from dringkit import (
     is_squarefree,
     parse_poly,
     quad_gcd,
+    rings,
 )
 from dringkit.rings import _reduction_step
 from helpers import (
@@ -510,6 +512,54 @@ def test_gcd_whose_descent_needs_a_box_past_radius_64():
     g, expected = quad_gcd(x, y), quad_gcd_reference(x, y)
     assert g.divides(x) is not None and g.divides(y) is not None
     assert (g.a, g.b) == (expected.a, expected.b)
+
+
+# Inputs on which a descent that took any norm decrease ran for millions of
+# steps in Q(sqrt 17): each remainder was 0.99999999985 of the norm before.
+# With every step cutting the norm to 170/171 or less, a descent from y takes
+# at most log(|N(y)|) / log(171/170) + 1 steps.
+@pytest.mark.parametrize("x, y, steps", [
+    ((1, 17179869006), (17179869006, 17179869006), 4),
+    ((639059193256, 48930), (639059193256, 639059193256), 13),
+])
+def test_gcd_descent_cuts_the_norm_by_a_fixed_factor(x, y, steps, monkeypatch):
+    ring = QuadRing(17)
+    x, y = ring.element(*x), ring.element(*y)
+    norms = []
+
+    def counting(u, v, ring):
+        norms.append(abs(ring.element(*v).norm()))
+        if len(norms) > 10_000:
+            pytest.fail("the descent did not end within 10,000 steps")
+        return _reduction_step(u, v, ring)
+
+    monkeypatch.setattr(rings, "_reduction_step", counting)
+    g = quad_gcd(x, y)
+    assert g.divides(x) is not None and g.divides(y) is not None
+    assert len(norms) == steps
+    assert len(norms) <= math.log(abs(y.norm())) / math.log(171 / 170) + 1
+    assert all(171 * after <= 170 * before for before, after in zip(norms, norms[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=big_coords, b=big_coords, c=big_coords, e=big_coords,
+       d=st.sampled_from(sorted(NORM_EUCLIDEAN_D)))
+def test_gcd_descent_steps_are_bounded_by_the_norm(a, b, c, e, d):
+    ring = QuadRing(d)
+    x, y = ring.element(a, b), ring.element(c, e)
+    if not y:
+        return
+    steps = 0
+
+    def counting(u, v, ring):
+        nonlocal steps
+        steps += 1
+        return _reduction_step(u, v, ring)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rings, "_reduction_step", counting)
+        quad_gcd(x, y)
+    assert steps <= math.log(abs(y.norm())) / math.log(171 / 170) + 1
 
 
 # The real fields whose sampled descents needed the widest boxes: radius 8,

@@ -6,17 +6,18 @@ and is_squarefree.
 is `factorize` and `is_squarefree`. The 6k±1 wheel that `factorize` used
 before, kept as `helpers.factorize_reference`, is the first oracle of all
 three; sympy's `factorint` is the second. The membership check is in turn the
-oracle of the path that skips it: the values of `zw_unit_demo`, each built
-by `WRational._trusted` and proved a unit by a square root of -1.
+oracle of the proof `zw_unit_demo` makes instead: each value's numerator is
+proved to have only W primes by a square root of -1.
 
 The `WRational` constructor is compared with its former body, kept as
-`helpers.wrational_reference`. The values `zw_unit_demo` builds from the
-closed form (a^2 + b^2)/b^2 are compared with its former loop, which squared
-the argument and added 1, kept in `fractions.Fraction` as
-`helpers.zw_values_reference`. The arguments it draws from `getrandbits`,
-and the root of -1 that certifies each value, are compared with draws made by
-`Random.randint` and `Random.choice`, in `helpers.zw_trials_reference`; a
-negative seed draws the trials of its absolute value.
+`helpers.wrational_reference`. For the reduced argument a/b, `zw_unit_demo`
+certifies the numerator n = a^2 + b^2 of the value (a^2 + b^2)/b^2. Each n,
+and the root of -1 that certifies it, is compared with draws made by
+`Random.randint` and `Random.choice`, in `helpers.zw_trials_reference`,
+whose value text n/b^2 is in turn compared with the former loop, which
+squared the argument and added 1, kept in `fractions.Fraction` as
+`helpers.zw_values_reference`. A negative seed draws the trials of its
+absolute value.
 """
 
 import hashlib
@@ -145,6 +146,8 @@ def test_matches_sympy_factorint():
 
 # Digests of "value:verdict" for every value the demo decided, and the
 # reports, as computed by the factorize-based implementation this replaced.
+# The demo hands only (n, root) to the certificate, so once every pair
+# matches the reference, the value text digested is the reference's n/b^2.
 DEMO_GOLDEN = {1729: "5a2c0fc7ad5abe31", 1: "5602676d8316e497", 2: "3f78176269027779"}
 
 
@@ -153,27 +156,30 @@ def test_zw_unit_demo_matches_the_factorize_implementation(seed, monkeypatch):
     original = lab._certifies_unit
     seen = []
 
-    def recording(value, root):
-        certified = original(value, root)
-        seen.append(f"{value}:{certified}")
+    def recording(n, root):
+        certified = original(n, root)
+        seen.append((n, root, certified))
         return certified
 
     monkeypatch.setattr(lab, "_certifies_unit", recording)
     report = zw_unit_demo(3000, seed)
-    assert (report.trials, report.seed, report.certified) == (3000, seed, 3000)
-    assert len(seen) == 3000
-    assert hashlib.sha256("\n".join(seen).encode()).hexdigest()[:16] == DEMO_GOLDEN[seed]
+    assert (report.trials, report.seed) == (3000, seed)
+    assert (report.passes, report.all_units) == (3000, True)
+    expected = zw_trials_reference(3000, seed)
+    assert [(n, root) for n, root, _ in seen] == [(n, root) for n, root, _ in expected]
+    lines = [f"{value}:{certified}" for (_, _, certified), (_, _, value) in zip(seen, expected)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == DEMO_GOLDEN[seed]
 
 
 def recorded_trials(trials, seed):
-    """(str(value), root) of each trial zw_unit_demo(trials, seed) hands to
+    """(n, root) of each trial zw_unit_demo(trials, seed) hands to
     _certifies_unit."""
     original = lab._certifies_unit
     seen = []
 
-    def recording(value, root):
-        seen.append((str(value), root))
-        return original(value, root)
+    def recording(n, root):
+        seen.append((n, root))
+        return original(n, root)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lab, "_certifies_unit", recording)
@@ -183,10 +189,13 @@ def recorded_trials(trials, seed):
 
 @pytest.mark.parametrize("seed", [0, 3, 99, 2**31 - 1])
 def test_zw_unit_demo_values_match_the_arithmetic_loop(seed):
-    # Seeds outside DEMO_GOLDEN: the closed form against x * x + 1.
+    # Seeds outside DEMO_GOLDEN: the closed form against x * x + 1. The
+    # library's numerators and the reference's whole values both match it.
     assert seed not in DEMO_GOLDEN
-    values = [value for value, _ in recorded_trials(3000, seed)]
-    assert values == zw_values_reference(3000, seed)
+    values = zw_values_reference(3000, seed)
+    numerators = [int(value.partition("/")[0]) for value in values]
+    assert [n for n, _ in recorded_trials(3000, seed)] == numerators
+    assert [value for _, _, value in zw_trials_reference(3000, seed)] == values
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,9 +205,10 @@ def test_zw_unit_demo_values_match_the_arithmetic_loop(seed):
 @example(seed=-1, trials=300)
 @example(seed=2**64, trials=300)
 def test_zw_unit_demo_draws_the_randint_and_choice_arguments(seed, trials):
-    # The value is even in the argument's numerator, so only the root sees
-    # its sign: both are compared with draws made by randint and choice.
-    assert recorded_trials(trials, seed) == zw_trials_reference(trials, seed)
+    # n is even in the argument's numerator, so only the root sees its sign:
+    # both are compared with draws made by randint and choice.
+    expected = [(n, root) for n, root, _ in zw_trials_reference(trials, seed)]
+    assert recorded_trials(trials, seed) == expected
 
 
 @pytest.mark.parametrize("seed", [1, 7, 1729, 2**64 + 1])
@@ -244,7 +254,7 @@ def test_unit_verdict_matches_trial_division(a, b):
     u = a * pow(b, -1, n)
     assert (u * u + 1) % m == 0
     assert _first_non_w_prime(m) is None
-    assert lab._certifies_unit(WRational(a * a + b * b, b * b), u)
+    assert lab._certifies_unit(n, u)
 
 
 constructor_ints = st.one_of(
