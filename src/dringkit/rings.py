@@ -8,6 +8,7 @@ checked: a quotient is returned only when it exists in the ring.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -106,9 +107,16 @@ def primes_up_to(limit: int) -> list[int]:
     return list(itertools.compress(range(limit + 1), flags))
 
 
+@functools.lru_cache
 def _first_non_w_prime(n: int) -> int | None:
     """The least prime factor of 1 <= n <= 10**12 that is 3 mod 4, or None
-    when every prime factor is 2 or 1 mod 4."""
+    when every prime factor is 2 or 1 mod 4.
+
+    Cached, as a pure function of n: each distinct n is trial-divided once
+    per process, and the default maxsize of 128 holds the 91 denominators
+    zw_unit_demo draws. A raise is not cached; __wrapped__ is the uncached
+    body.
+    """
     for p, _ in _prime_factors(n):
         if not is_w_prime(p):
             return p
@@ -506,8 +514,10 @@ class WRational(Record):
     """Reduced fraction whose denominator factors over {2} and primes = 1 mod 4.
 
     Construction normalizes the sign into the numerator, divides out the gcd,
-    caps the reduced denominator at 10**12 and trial-divides it to validate
-    membership. zw_unit_demo builds one per trial, for the argument.
+    caps the reduced denominator at 10**12 and validates its membership by
+    one lookup in the cache of _first_non_w_prime, which trial-divides each
+    distinct denominator once. zw_unit_demo builds one per trial, for the
+    argument.
     """
 
     __slots__ = ("num", "den")

@@ -241,7 +241,9 @@ def factorize_reference(n: int) -> dict[int, int]:
 
 # The WRational constructor as it was when it built a temporary through a
 # second, unchecked constructor, whose reduction and cap are inlined here,
-# and read the reduced pair back from it.
+# and read the reduced pair back from it. Its membership check is the
+# uncached body of _first_non_w_prime, so it does not share the cache the
+# constructor reads.
 
 
 def wrational_reference(num, den) -> tuple[int, int]:
@@ -255,7 +257,7 @@ def wrational_reference(num, den) -> tuple[int, int]:
     den //= g
     if den > _TRIAL_DIVISION_CAP:
         raise ValueError(f"reduced denominator exceeds {_TRIAL_DIVISION_CAP}")
-    p = _first_non_w_prime(den)
+    p = _first_non_w_prime.__wrapped__(den)
     if p is not None:
         raise DenominatorNotInW(f"prime {p} divides the denominator but is 3 mod 4")
     return num, den

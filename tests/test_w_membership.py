@@ -9,6 +9,11 @@ three; sympy's `factorint` is the second. The membership check is in turn the
 oracle of the proof `zw_unit_demo` makes instead: each value's numerator is
 proved to have only W primes by a square root of -1.
 
+`_first_non_w_prime` is cached. Its answers, on a miss and on a hit, are
+compared with its uncached body `__wrapped__` and with the wheel; raises are
+not cached, the cache stays within its maxsize, and the demo trial-divides
+each of its at most 91 denominators once.
+
 The `WRational` constructor is compared with its former body, kept as
 `helpers.wrational_reference`. For the reduced argument a/b, `zw_unit_demo`
 certifies the numerator n = a^2 + b^2 of the value (a^2 + b^2)/b^2. Each n,
@@ -42,6 +47,7 @@ from dringkit import (
 from dringkit.rings import _first_non_w_prime
 
 from helpers import (
+    brute_is_prime,
     factorize_reference,
     wrational_reference,
     zw_trials_reference,
@@ -49,6 +55,7 @@ from helpers import (
 )
 
 CAP = 10**12
+W_PRIMES_UNDER_1000 = [p for p in primes_up_to(1000) if is_w_prime(p)]
 
 
 def least_non_w_prime(n):
@@ -95,8 +102,12 @@ def test_denominator_check_matches_factorize(n):
 
 
 def test_small_range_matches_factorize_exhaustively():
+    # Each n is asked twice, so the second answer is read from the cache;
+    # both match the uncached body.
     for n in range(1, 20_001):
-        assert _first_non_w_prime(n) == least_non_w_prime(n), n
+        expected = least_non_w_prime(n)
+        assert _first_non_w_prime(n) == _first_non_w_prime(n) == expected, n
+        assert _first_non_w_prime.__wrapped__(n) == expected, n
         assert_factorisation_matches_the_wheel(n)
 
 
@@ -128,7 +139,36 @@ def test_edge_cases(n, expected):
     assert least_non_w_prime(n) == expected
     assert factorize(n) == factorize_reference(n)
     assert _first_non_w_prime(n) == expected
+    assert _first_non_w_prime(n) == _first_non_w_prime.__wrapped__(n) == expected
     assert membership_outcome(n) == expected_outcome(n)
+
+
+def test_a_rejected_denominator_raises_the_same_message_each_time():
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(DenominatorNotInW) as caught:
+            WRational(1, 21)
+        messages.add(str(caught.value))
+    assert messages == {"prime 3 divides the denominator but is 3 mod 4"}
+
+
+def test_a_denominator_over_the_cap_is_refused_before_the_lookup():
+    before = _first_non_w_prime.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"reduced denominator exceeds {CAP}"):
+            WRational(1, CAP + 1)
+    assert _first_non_w_prime.cache_info() == before
+
+
+def test_the_cache_stays_within_its_maxsize():
+    # 1,000 distinct denominators, each a product of two W primes below 1000.
+    dens = sorted({p * q for p in W_PRIMES_UNDER_1000 for q in W_PRIMES_UNDER_1000})[:1000]
+    assert len(dens) == 1000
+    for den in dens:
+        assert WRational(1, den).den == den
+    info = _first_non_w_prime.cache_info()
+    assert info.maxsize == 128
+    assert info.currsize <= info.maxsize
 
 
 def test_matches_sympy_factorint():
@@ -217,10 +257,18 @@ def test_a_negative_seed_repeats_the_trials_of_its_absolute_value(seed):
     assert recorded_trials(500, -seed) == recorded_trials(500, seed)
 
 
+def test_w_primes_under_100_are_the_primes_2_or_1_mod_4():
+    # So the demo's denominators 1, p and p*q are at most 1 + 12 + 78 = 91.
+    expected = tuple(p for p in range(100) if brute_is_prime(p) and (p == 2 or p % 4 == 1))
+    assert lab.W_PRIMES_UNDER_100 == expected
+    assert len(expected) == 12
+
+
 def test_zw_unit_demo_validates_and_certifies_every_trial(monkeypatch):
-    # One validating construction (one trial division) and one certificate
-    # per trial: the count rings.WRational.constructed reads when traced.
-    calls = {"trial division": 0, "certificate": 0}
+    # One validating construction (one membership lookup) and one
+    # certificate per trial: the count rings.WRational.constructed reads
+    # when traced.
+    calls = {"lookup": 0, "certificate": 0}
 
     def counting(name, original):
         def spy(*args):
@@ -228,13 +276,30 @@ def test_zw_unit_demo_validates_and_certifies_every_trial(monkeypatch):
             return original(*args)
         return spy
 
-    monkeypatch.setattr(rings, "_first_non_w_prime", counting("trial division", rings._first_non_w_prime))
+    monkeypatch.setattr(rings, "_first_non_w_prime", counting("lookup", rings._first_non_w_prime))
     monkeypatch.setattr(lab, "_certifies_unit", counting("certificate", lab._certifies_unit))
     assert zw_unit_demo(200, 11).all_units
-    assert calls == {"trial division": 200, "certificate": 200}
+    assert calls == {"lookup": 200, "certificate": 200}
 
 
-W_PRIMES_UNDER_1000 = [p for p in primes_up_to(1000) if is_w_prime(p)]
+@pytest.mark.parametrize("seed", sorted(DEMO_GOLDEN))
+def test_zw_unit_demo_trial_divides_each_denominator_once(seed, monkeypatch):
+    # From a cleared cache, a trial division runs once per distinct reduced
+    # denominator b, read back from the reference's value text n/b^2.
+    original = rings._prime_factors
+    divisions = []
+
+    def counting(n):
+        divisions.append(n)
+        return original(n)
+
+    monkeypatch.setattr(rings, "_prime_factors", counting)
+    _first_non_w_prime.cache_clear()
+    zw_unit_demo(3000, seed)
+    dens = {math.isqrt(int(value.partition("/")[2])) for _, _, value in zw_trials_reference(3000, seed)}
+    assert sorted(divisions) == sorted(dens)
+    assert len(divisions) <= 91
+    assert _first_non_w_prime.cache_info().misses == len(divisions)
 
 
 @settings(max_examples=300, deadline=None)
