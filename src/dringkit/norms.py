@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import UnsupportedRingError, VerificationError
+from .errors import EmptySampleSetError, UnsupportedRingError, VerificationError
 from .polynomials import Poly, _plus_minus_values, _quad_product
 from .rings import ZZ, QuadRing, Record
 
@@ -75,8 +75,8 @@ def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferRep
 
     Samples where the divisor vanishes or does not divide carry no obligation
     and are marked vacuous. Records are sorted by sample point and duplicates
-    are dropped, so the report does not depend on evaluation order. A sample
-    that is not an int, such as a float, raises TypeError.
+    are dropped, so the report does not depend on evaluation order. A float
+    sample raises TypeError, and no samples raise EmptySampleSetError.
     """
     f._check_ring(g)
     if not g:
@@ -84,6 +84,8 @@ def norm_transfer_check(f: Poly, g: Poly, samples: Iterable[int]) -> TransferRep
     dividend_norm = norm_poly(f)
     divisor_norm = norm_poly(g)
     points = sorted(set(ZZ.coerce(b) for b in samples))
+    if not points:
+        raise EmptySampleSetError("need at least one sample point")
     ks = {abs(k) for k in points}
     gvals = _plus_minus_values(g.coeffs, f.ring, ks)
     fvals = _plus_minus_values(f.coeffs, f.ring, ks)

@@ -5,13 +5,13 @@ always nonzero; the zero polynomial has an empty coefficient tuple and degree
 None. All arithmetic is exact and stays inside the coefficient ring.
 
 Coefficients are validated once, where they enter: `Poly(...)` and the
-`zero`, `one`, `x`, `constant` and `monomial` constructors coerce every
-coefficient into the ring, and a scalar multiplier is coerced once per
-product, as its one-coefficient left operand. Arithmetic trusts its own
-outputs: sums, products, quotients and the other results built here from
-coefficients already in the ring go through `Poly._trusted`, which only
-strips trailing zeros. So does `parse_poly`, which builds its ints and
-QuadInts from the text itself.
+`zero`, `x` and `constant` constructors coerce every coefficient into the
+ring, and a scalar multiplier is coerced once per product, as its
+one-coefficient left operand. Arithmetic trusts its own outputs: sums,
+products, quotients and the other results built here from coefficients
+already in the ring go through `Poly._trusted`, which only strips trailing
+zeros. So does `parse_poly`, which builds its ints and QuadInts from the
+text itself.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class Poly(Record):
         return cls((), ring)
 
     @classmethod
-    def one(cls, ring: CoefficientRing = ZZ) -> "Poly":
-        return cls((1,), ring)
-
-    @classmethod
     def x(cls, ring: CoefficientRing = ZZ) -> "Poly":
         return cls((0, 1), ring)
 
@@ -76,20 +72,9 @@ class Poly(Record):
     def constant(cls, value, ring: CoefficientRing = ZZ) -> "Poly":
         return cls((value,), ring)
 
-    @classmethod
-    def monomial(cls, coeff, power: int, ring: CoefficientRing = ZZ) -> "Poly":
-        if power < 0:
-            raise ValueError("a monomial's power must not be negative")
-        return cls((0,) * power + (coeff,), ring)
-
     def degree(self) -> int | None:
         """Index of the leading coefficient; None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
-
-    def leading_coefficient(self) -> Element:
-        if not self.coeffs:
-            raise ZeroPolynomialError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -111,14 +96,6 @@ class Poly(Record):
         for i, c in enumerate(b):
             out[i] = out[i] + c
         return Poly._trusted(out, self.ring)
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self):
-        return Poly._trusted([-c for c in self.coeffs], self.ring)
 
     def __mul__(self, other):
         if isinstance(other, Poly):

@@ -161,9 +161,6 @@ class IntegerRing:
     def __str__(self) -> str:
         return "Z"
 
-    def __repr__(self) -> str:
-        return "ZZ"
-
 
 ZZ = IntegerRing()
 
@@ -324,18 +321,6 @@ class QuadInt(Record):
         return QuadInt(self.a + other.a, self.b + other.b, self.ring)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadInt(self.a - other.a, self.b - other.b, self.ring)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return QuadInt(-self.a, -self.b, self.ring)
 
     def __mul__(self, other):
         other = self._coerce(other)

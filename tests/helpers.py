@@ -106,14 +106,14 @@ def oracle_pseudo_divide(f: Poly, g: Poly) -> PseudoDivResult:
     if not f or f.degree() < n:
         return PseudoDivResult(ring.one, Poly.zero(ring), f, 0)
     s = f.degree() - n + 1
-    lead = g.leading_coefficient()
+    lead = g.coeffs[-1]
     q = Poly.zero(ring)
     r = f
     steps = 0
     while r and r.degree() >= n:
-        t = Poly.monomial(r.leading_coefficient(), r.degree() - n, ring)
+        t = Poly((0,) * (r.degree() - n) + (r.coeffs[-1],), ring)
         q = q * lead + t
-        r = r * lead - t * g
+        r = r * lead + t * g * -1
         steps += 1
     if steps != s:
         pad = lead ** (s - steps)
@@ -129,21 +129,21 @@ def oracle_exact_divide(f: Poly, g: Poly) -> Poly | None:
     n = g.degree()
     if f.degree() < n:
         return None
-    lead = g.leading_coefficient()
+    lead = g.coeffs[-1]
     q = Poly.zero(ring)
     r = f
     while r and r.degree() >= n:
         if ring == ZZ:
-            c, rem = divmod(r.leading_coefficient(), lead)
+            c, rem = divmod(r.coeffs[-1], lead)
             if rem:
                 return None
         else:
-            c = lead.divides(r.leading_coefficient())
+            c = lead.divides(r.coeffs[-1])
             if c is None:
                 return None
-        t = Poly.monomial(c, r.degree() - n, ring)
+        t = Poly((0,) * (r.degree() - n) + (c,), ring)
         q = q + t
-        r = r - t * g
+        r = r + t * g * -1
     return q if not r else None
 
 
@@ -498,7 +498,7 @@ def term_text_reference(c, power: int) -> tuple[int, str]:
         var = f"x^{power}"
     if isinstance(c, QuadInt):
         sign = 1 if (c.a > 0 or (c.a == 0 and c.b > 0)) else -1
-        m = c if sign > 0 else -c
+        m = c if sign > 0 else c * -1
         return sign, f"[{m}]{var}"
     sign = 1 if c > 0 else -1
     m = abs(c)
@@ -603,7 +603,7 @@ def reduction_step_reference(x: QuadInt, y: QuadInt) -> QuadInt:
     n = y.norm()
     num = x * y.conjugate()
     q = QuadInt(_round_half_to_zero(num.a, n), _round_half_to_zero(num.b, n), x.ring)
-    r = x - q * y
+    r = x + q * y * -1
     bound = abs(n)
     if 171 * abs(r.norm()) <= 170 * bound:
         return r
@@ -612,7 +612,7 @@ def reduction_step_reference(x: QuadInt, y: QuadInt) -> QuadInt:
         best = None
         for da in range(-radius, radius + 1):
             for db in range(-radius, radius + 1):
-                cand = x - (q + QuadInt(da, db, x.ring)) * y
+                cand = x + (q + QuadInt(da, db, x.ring)) * y * -1
                 cand_norm = abs(cand.norm())
                 if radius <= 64:
                     qualifies = 171 * cand_norm <= 170 * bound
@@ -708,7 +708,7 @@ def pseudo_divide_reference(f: Poly, g: Poly) -> PseudoDivResult:
         c = u[n + k]
         q[k] = c * powers[k]
         for j, d in enumerate(low, k):
-            u[j] = lead * u[j] - c * d
+            u[j] = lead * u[j] + c * d * -1
     quotient = Poly._trusted(q, ring)
     remainder = Poly._trusted(u[:n], ring)
     multiplier = powers[s]
@@ -738,7 +738,7 @@ def exact_divide_reference(f: Poly, g: Poly) -> Poly | None:
             return None
         q[k] = c
         for i, d in terms:
-            r[k + i] = r[k + i] - c * d
+            r[k + i] = r[k + i] + c * d * -1
     if any(r[:n]):
         return None
     return Poly._trusted(q, ring)
@@ -749,8 +749,8 @@ def cheb_pairs_reference(n_max: int):
     time, holding only the last two."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    p_prev, p = Poly.one(ZZ), Poly.x(ZZ)
-    q_prev, q = Poly.zero(ZZ), Poly.one(ZZ)
+    p_prev, p = Poly((1,), ZZ), Poly.x(ZZ)
+    q_prev, q = Poly.zero(ZZ), Poly((1,), ZZ)
     yield ChebPair(0, p_prev, q_prev)
     for n in range(1, n_max + 1):
         if n > 1:
@@ -806,6 +806,8 @@ def norm_transfer_reference(f: Poly, g: Poly, samples) -> TransferReport:
     dividend_norm = norm_poly_reference(f)
     divisor_norm = norm_poly_reference(g)
     points = sorted(set(ZZ.coerce(b) for b in samples))
+    if not points:
+        raise EmptySampleSetError("need at least one sample point")
     gvals, fvals = g.values(points), f.values(points)
     gnorms, fnorms = divisor_norm.values(points), dividend_norm.values(points)
     records = []

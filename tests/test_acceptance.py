@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from dringkit import (
+    NORM_EUCLIDEAN_D,
     NotPrimitiveError,
     Poly,
     QuadRing,
@@ -31,6 +32,7 @@ from dringkit import (
     norm_transfer_check,
     parse_poly,
     pseudo_divide,
+    quad_gcd,
     sf_search,
     zw_unit_demo,
 )
@@ -316,3 +318,40 @@ def test_gate_12_pointwise_divisibility_without_unique_factorization():
             assert not is_primitive(g)
             with pytest.raises(NotPrimitiveError):
                 certify_divisibility(g * Poly.x(ring), g)
+
+
+def test_gate_13_pointwise_divisibility_needs_a_primitive_divisor_over_z():
+    with gate(13, "2x + 2 vs x^3 + 2x^2 + x: g(k) | f(k) everywhere, g not | f in Z[x]"):
+        # f/g = x(x + 1)/2, and 2 is a fixed divisor of x^2 + x: k(k + 1) is
+        # even at every integer k, so the content 2 of g hides the failure.
+        g = Poly((2, 2))
+        f = Poly((0, 1, 2, 1))
+        report = eval_divisibility(f, g, range(-1000, 1001))
+        assert report.verdict == "ALL_DIVIDE"
+        assert (report.checked, report.vacuous) == (2001, 1)  # g(-1) = 0
+        assert exact_divide(f, g) is None
+        assert field_divide(f, g) == (2, Poly((0, 1, 1)))
+        assert content(g) == 2 and not is_primitive(g)
+        with pytest.raises(NotPrimitiveError):
+            certify_divisibility(f, g)
+
+
+def test_gate_14_prime_divisors_of_values_through_norm_polynomials():
+    with gate(14, "p | N(g(k)) from sf on norm_poly(g): gcd(g(k), p) is a non-unit, 21 fields"):
+        # norm_poly(g)(k) = N(g(k)), so a record (p, k) of sf on it says
+        # p | N(g(k)). Then h = gcd(g(k), p) is a non-unit with p | N(h),
+        # whether p is inert, split or ramified: a prime of Z[w] above p
+        # divides the value g(k).
+        rng = random.Random(7)
+        checked = 0
+        for d in sorted(NORM_EUCLIDEAN_D):
+            ring = QuadRing(d)
+            for _ in range(5):
+                g = rand_poly(rng, ring, min_deg=1, max_deg=4)
+                records = sf_search(norm_poly(g), 2000)
+                assert records, f"d = {d}: no prime divides a value of {g}"
+                for record in records:
+                    h = quad_gcd(g.evaluate(record.root), ring.element(record.prime))
+                    assert not h.is_unit() and h.norm() % record.prime == 0, (d, str(g), record)
+                checked += len(records)
+        print(f"{checked} records checked")

@@ -98,7 +98,7 @@ def test_pseudo_divide_matches_sympy_over_z(fc, gc):
     F, G = to_sympy(f, sympy, x), to_sympy(g, sympy, x)
     assert same_poly(result.quotient, from_sympy(F.pquo(G)))
     assert same_poly(result.remainder, from_sympy(F.prem(G)))
-    assert result.multiplier == g.leading_coefficient() ** result.s
+    assert result.multiplier == g.coeffs[-1] ** result.s
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,7 +248,7 @@ def test_kernels_match_the_reference_loops_on_long_inputs():
             g = rand_poly(rng, ring, min_deg=1, max_deg=10, bound=1000)
             assert same_pseudo(pseudo_divide(f, g), oracle_pseudo_divide(f, g))
             assert same_poly(exact_divide(f * g, g), oracle_exact_divide(f * g, g))
-            assert exact_divide(f * g + Poly.one(ring), g) is None
+            assert exact_divide(f * g + Poly((1,), ring), g) is None
 
 
 # --- sparse dividends, large leading coefficients --------------------------------
@@ -287,13 +287,13 @@ def sparse_pairs(draw):
         f = Poly([small() for _ in range(draw(st.integers(1, n)))], ring)
     else:
         power = draw(st.integers(0, 600))
-        f = Poly.monomial(small() or 1, power, ring) + Poly.constant(small(), ring)
+        f = Poly((0,) * power + (small() or 1,), ring) + Poly.constant(small(), ring)
     return f, g
 
 
 @settings(max_examples=40, deadline=None)
 @given(pair=sparse_pairs())
-@example(pair=(Poly.monomial(7, 600, ZZ) + Poly.one(), Poly.constant(2**63 + 1)))
+@example(pair=(Poly((0,) * 600 + (7,), ZZ) + Poly((1,), ZZ), Poly.constant(2**63 + 1)))
 @example(pair=(Poly.zero(Q_5), Poly.constant(Q_5.element(65537, -3), Q_5)))
 @example(pair=(Poly((1, 2), Q73), Poly((1, 0, 0, Q73.element(2**40, 7)), Q73)))
 def test_sparse_dividends_match_algorithm_r_and_the_oracles(pair):
@@ -340,7 +340,7 @@ def test_empty_operands_of_product_and_difference(ring):
     for f, g in ((zero, p), (p, zero), (zero, zero)):
         assert same_poly(f * g, product_reference(f, g))
         pairs = zip_longest(f.coeffs, g.coeffs, fillvalue=ring.zero)
-        assert same_poly(f - g, Poly([c - d for c, d in pairs], ring))
+        assert same_poly(f + g * -1, Poly([c + d * -1 for c, d in pairs], ring))
 
 
 @pytest.mark.parametrize("ring", TRIVIAL_RINGS, ids=str)
@@ -358,7 +358,7 @@ def test_short_pseudo_division_is_re_checked(ring, monkeypatch):
 
     monkeypatch.setattr(polynomials, name, off_by_one)
     g = Poly((1, 0, 1), ring)
-    for f in (Poly.x(ring), Poly.monomial(3, 3, ring)):  # s = 0, then s = 2
+    for f in (Poly.x(ring), Poly((0, 0, 0, 3), ring)):  # s = 0, then s = 2
         with pytest.raises(VerificationError, match="pseudo-division identity failed"):
             pseudo_divide(f, g)
 
@@ -370,7 +370,7 @@ def test_an_inexact_pseudo_division_step_is_an_error(ring, monkeypatch, capsys):
     name = "_int_divide" if ring == ZZ else "_quad_divide"
     monkeypatch.setattr(polynomials, name, lambda *args: None)
     with pytest.raises(VerificationError, match="pseudo-division step was not exact"):
-        pseudo_divide(Poly.monomial(3, 3, ring), Poly((1, 0, 2), ring))
+        pseudo_divide(Poly((0, 0, 0, 3), ring), Poly((1, 0, 2), ring))
     code = main(["pseudodiv", "3x^3", "2x^2+1", "--ring", str(ring), "--json"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -452,7 +452,7 @@ def test_scalar_product_rejects_a_float():
 
 @pytest.mark.parametrize(
     "combine",
-    [lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q, pseudo_divide, exact_divide],
+    [lambda p, q: p + q, lambda p, q: p + q * -1, lambda p, q: p * q, pseudo_divide, exact_divide],
 )
 def test_mixing_rings_raises(combine):
     with pytest.raises(RingMismatchError):
@@ -465,12 +465,12 @@ def test_mixing_rings_raises(combine):
 @pytest.mark.parametrize("ring", [ZZ, GAUSS, QuadRing(5)])
 def test_difference_with_itself_is_the_zero_polynomial(ring):
     p = rand_poly(random.Random(7), ring)
-    zero = p - p
+    zero = p + p * -1
     assert zero.coeffs == ()
     assert zero.degree() is None
     assert zero == Poly.zero(ring)
     assert hash(zero) == hash(Poly.zero(ring))
-    assert (p + (-p)).coeffs == ()
+    assert (p * -1 + p).coeffs == ()
 
 
 @pytest.mark.parametrize("ring", [ZZ, GAUSS, QuadRing(-3), QuadRing(2)])
@@ -479,7 +479,7 @@ def test_products_equal_their_validated_rebuild(ring):
     for _ in range(50):
         p = rand_poly(rng, ring, min_deg=0, max_deg=6)
         q = rand_poly(rng, ring, min_deg=0, max_deg=6)
-        for result in (p * q, p + q, p - q, p * 3):
+        for result in (p * q, p + q, p + q * -1, p * 3):
             rebuilt = Poly(list(result.coeffs), ring)
             assert result == rebuilt
             assert hash(result) == hash(rebuilt)

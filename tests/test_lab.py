@@ -380,8 +380,8 @@ def test_cheb_generate_satisfies_the_recurrences():
     pairs = cheb_generate(60)
     two_x = Poly((0, 2))
     for n in range(1, 60):
-        assert pairs[n + 1].p == two_x * pairs[n].p - pairs[n - 1].p
-        assert pairs[n + 1].q == two_x * pairs[n].q - pairs[n - 1].q
+        assert pairs[n + 1].p == two_x * pairs[n].p + pairs[n - 1].p * -1
+        assert pairs[n + 1].q == two_x * pairs[n].q + pairs[n - 1].q * -1
 
 
 def test_cheb_generate_matches_the_recurrence_up_to_400():
@@ -454,7 +454,7 @@ def test_a_wrong_named_quotient_fails_re_expansion(monkeypatch):
 
     def off_by_one(n):
         pair = built(n)
-        return ChebPair(n, pair.p, pair.q + Poly.one())
+        return ChebPair(n, pair.p, pair.q + Poly((1,)))
 
     monkeypatch.setattr(lab, "_cheb_pair", off_by_one)
     with pytest.raises(VerificationError, match="certified quotient failed re-expansion"):

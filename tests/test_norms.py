@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dringkit import (
     DRingKitError,
+    EmptySampleSetError,
     Poly,
     QuadInt,
     QuadRing,
@@ -226,6 +227,13 @@ def test_transfer_randomized_multiples_never_violate():
             f = g * rand_poly(rng, ring, min_deg=0, max_deg=3, bound=8)
             report = norm_transfer_check(f, g, range(-10, 11))
             assert report.verdict == "CONSISTENT"
+
+
+def test_transfer_refuses_an_empty_sample_set():
+    g = Poly((GAUSS.element(0, -1), GAUSS.one), GAUSS)  # x - w
+    for samples in ([], range(0)):
+        with pytest.raises(EmptySampleSetError, match="need at least one sample point"):
+            norm_transfer_check(g, g, samples)
 
 
 def test_transfer_sorts_and_deduplicates_the_samples():

@@ -88,7 +88,7 @@ def test_parse_bracket_forms():
     assert parse_poly("[2w]", GAUSS) == Poly((GAUSS.element(0, 2),), GAUSS)
     assert parse_poly("[-w]", GAUSS) == Poly((GAUSS.element(0, -1),), GAUSS)
     assert parse_poly("[5-w]", GAUSS) == Poly((GAUSS.element(5, -1),), GAUSS)
-    assert parse_poly("[-2+3w]x^2", GAUSS) == Poly.monomial(GAUSS.element(-2, 3), 2, GAUSS)
+    assert parse_poly("[-2+3w]x^2", GAUSS) == Poly((0, 0, GAUSS.element(-2, 3)), GAUSS)
 
 
 def test_terms_may_repeat_and_commute():

@@ -170,7 +170,7 @@ def test_post_init_runs_once_per_validated_construction(monkeypatch):
 
     calls.clear()
     r = Poly._trusted([1, 2, 0], ZZ)
-    polys = [p * r, p + r, -p, p - r, q * q, q * 2]
+    polys = [p * r, p + r, p * -1, p + r * -1, q * q, q * 2]
     assert calls == []
     assert polys == [Poly((1, 4, 4)), Poly((2, 4)), Poly((-1, -2)), Poly(),
-                     Poly.monomial(1, 2, GAUSS), Poly((0, 2), GAUSS)]
+                     Poly((0, 0, 1), GAUSS), Poly((0, 2), GAUSS)]
