@@ -152,6 +152,11 @@ class PrimeSolvabilityRecord(Record):
 
     __slots__ = ("prime", "root")
 
+    def __init__(self, prime: int, root: int) -> None:
+        set_prime, set_root = self._setters  # Record.__init__ unrolled, for speed
+        set_prime(self, prime)
+        set_root(self, root)
+
 
 def sf_search(f: Poly, prime_limit: int) -> list[PrimeSolvabilityRecord]:
     """All primes p <= prime_limit at which f has a root mod p, with the least

@@ -114,16 +114,22 @@ class Poly(Record):
     def evaluate(self, point) -> Element:
         """Horner evaluation at a point coerced into the coefficient ring.
 
-        At a plain int over Z[w], the a- and b-coordinates each take one
-        Horner pass on plain ints, since (a + b*w)*k + c = (a*k + c.a) +
-        (b*k + c.b)*w; one QuadInt is built at the end.
+        A plain int point skips the coercion: over Z it takes one Horner pass
+        on the coefficients, and over Z[w] the a- and b-coordinates each take
+        one, since (a + b*w)*k + c = (a*k + c.a) + (b*k + c.b)*w; one QuadInt
+        is built at the end.
         """
-        if isinstance(self.ring, QuadRing) and isinstance(point, int):
-            a = b = 0
+        if isinstance(point, int):
+            if isinstance(self.ring, QuadRing):
+                a = b = 0
+                for c in reversed(self.coeffs):
+                    a = a * point + c.a
+                    b = b * point + c.b
+                return QuadInt(a, b, self.ring)
+            acc = 0
             for c in reversed(self.coeffs):
-                a = a * point + c.a
-                b = b * point + c.b
-            return QuadInt(a, b, self.ring)
+                acc = acc * point + c
+            return acc
         point = self.ring.coerce(point)
         acc = self.ring.zero
         for c in reversed(self.coeffs):

@@ -527,8 +527,9 @@ class WRational(Record):
         p = _first_non_w_prime(den)
         if p is not None:
             raise DenominatorNotInW(f"prime {p} divides the denominator but is 3 mod 4")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        set_num, set_den = self._setters
+        set_num(self, num)
+        set_den(self, den)
 
     def __str__(self) -> str:
         return f"{_decimal(self.num)}/{_decimal(self.den)}"

@@ -470,7 +470,7 @@ def _parse_bracket(parser: _Parser, ring: QuadRing):
 # --- reference evaluation -----------------------------------------------------
 #
 # Horner's rule on whole ring elements, the point coerced into the ring: the
-# path Poly.evaluate keeps for every point but a plain int over Z[w].
+# path Poly.evaluate keeps for every point but a plain int.
 
 
 def evaluate_reference(p: Poly, point):

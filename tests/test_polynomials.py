@@ -214,6 +214,27 @@ def test_evaluation_at_a_ring_element_matches_the_reference(p, ab):
     assert (value.a, value.b) == (expected.a, expected.b)
 
 
+# Over Z a plain int point, True and False included, takes the same pass
+# without coercion; helpers.evaluate_reference coerces it first. Any other
+# point still goes through IntegerRing.coerce and raises what it raises.
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(coordinates, max_size=21),
+    k=st.sampled_from((0, True, False)) | st.integers(-10**6, 10**6),
+)
+@example(coeffs=[], k=True)
+@example(coeffs=[10**30] * 21, k=-10**6)
+def test_evaluation_over_z_at_an_int_matches_the_reference(coeffs, k):
+    p = Poly(coeffs)
+    value = p.evaluate(k)
+    assert value == evaluate_reference(p, k)
+    assert type(value) is int
+    with pytest.raises(RingMismatchError):
+        p.evaluate(GAUSS.element(k, 1))
+    with pytest.raises(TypeError, match="exact integer required, got float"):
+        p.evaluate(float(k))
+
+
 # Poly.values pairs k with -k in one Horner pass on the even and odd parts;
 # Poly.evaluate, one point at a time, is its oracle. Over Z[w] a QuadInt
 # point with b == 0 equals the int a, so the two may share a key.
